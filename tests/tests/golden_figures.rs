@@ -197,6 +197,36 @@ fn tiled_device_accurate_probe_matches_golden() {
 }
 
 #[test]
+fn untiled_device_accurate_probe_matches_golden() {
+    // Locks the device-in-the-loop route that names no tile height: the
+    // whole coupling matrix is one array, whose variation map and read
+    // noise are keyed by the config seed itself. Pins both read kinds —
+    // per-flip incremental-E reads (CiM) and full-array MVM reads (dSB).
+    use fecim::SbAnnealer;
+    let graph = GeneratorConfig::new(96, 0x601D)
+        .with_family(GsetFamily::RandomUnit)
+        .with_mean_degree(8.0)
+        .generate();
+    let problem = graph.to_max_cut();
+    let mut cfg = CrossbarConfig::paper_defaults();
+    cfg.fidelity = Fidelity::DeviceAccurate;
+    cfg.variation = VariationConfig::typical();
+    let cim = CimAnnealer::new(150)
+        .with_flips(2)
+        .with_device_in_loop(cfg.clone())
+        .solve(&problem, 2025)
+        .expect("max-cut always encodes");
+    let sb = SbAnnealer::discrete(80)
+        .with_device_in_loop(cfg)
+        .solve(&problem, 2025)
+        .expect("max-cut always encodes");
+    check_golden(
+        "mono_device_probe",
+        &serde_json::json!({ "cim": cim, "sb": sb }),
+    );
+}
+
+#[test]
 fn queue_sweep_trace_matches_golden() {
     // A scaled-down `queue_sweep` trace: one worker, staged start, so
     // execution order is pure (priority, deadline, id) queue order and
