@@ -35,21 +35,17 @@ mod engine;
 mod ensemble;
 mod local_search;
 mod mesa;
-mod montecarlo;
 mod result;
 mod schedule;
 mod tabu;
 mod trace;
 
-pub use backend::{
-    BatchedBackend, CrossbarBackend, DeviceBackend, EnergyBackend, ExactBackend, TiledBackend,
-};
+pub use backend::{BatchedBackend, DeviceBackend, EnergyBackend, ExactBackend, TiledBackend};
 pub use engine::{run_direct, run_in_situ, suggest_einc_scale, Acceptance, AnnealConfig};
 pub use ensemble::Ensemble;
 pub use local_search::{local_search, multi_start_local_search};
 pub use mesa::{run_mesa, MesaConfig};
-pub use montecarlo::{success_rate, MonteCarlo};
-pub use result::{Aggregate, RunResult};
+pub use result::{success_rate, Aggregate, RunResult};
 pub use schedule::{
     ConstantSchedule, GeometricSchedule, LinearSchedule, Schedule, SteppedSchedule,
 };

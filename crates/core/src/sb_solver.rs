@@ -6,7 +6,7 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::RunResult;
-use fecim_crossbar::{BatchInstance, Crossbar, CrossbarConfig, TiledCrossbar};
+use fecim_crossbar::{BatchInstance, CrossbarConfig, TiledCrossbar};
 use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
 use fecim_ising::{CopProblem, CsrCoupling, IsingError, IsingModel, SpinVector};
 use fecim_sb::{DeviceMvm, ExactMvm, PressureSchedule, SbEngine, SbVariant};
@@ -127,10 +127,10 @@ impl SbAnnealer {
         self
     }
 
-    /// Route every coupling MVM through the simulated DG FeFET crossbar
-    /// (quantization, ADC conversion, activity statistics, and — in
-    /// device-accurate fidelity — variation and counter-based read
-    /// noise).
+    /// Route every coupling MVM through the simulated DG FeFET crossbar,
+    /// programmed as one tile spanning the whole matrix (quantization,
+    /// ADC conversion, activity statistics, and — in device-accurate
+    /// fidelity — variation and counter-based read noise).
     pub fn with_device_in_loop(mut self, config: CrossbarConfig) -> SbAnnealer {
         self.quant_bits = config.quant_bits;
         self.mux_ratio = config.mux_ratio;
@@ -140,9 +140,9 @@ impl SbAnnealer {
 
     /// Route every coupling MVM through the *tiled* array composition
     /// (fixed-size `tile_rows`-row tiles — how beyond-array-size
-    /// instances run device-in-the-loop). In Ideal fidelity the tiled
-    /// read is bit-identical to the monolithic one, so the whole SB
-    /// trajectory is placement-invariant.
+    /// instances run device-in-the-loop). In Ideal fidelity the read is
+    /// bit-identical for any tile size, so the whole SB trajectory is
+    /// placement-invariant.
     ///
     /// # Panics
     ///
@@ -296,17 +296,13 @@ impl Solver for SbAnnealer {
 
     fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
         let engine = self.engine();
-        match (&self.device_in_loop, self.tile_rows) {
-            (None, _) => {
+        match &self.device_in_loop {
+            None => {
                 let mut source = ExactMvm::new(coupling);
                 engine.run(coupling, &mut source, &initial, seed)
             }
-            (Some(xb_config), None) => {
-                let mut source =
-                    DeviceMvm::new(Crossbar::program(coupling, xb_config.clone()), self.in_bits);
-                engine.run(coupling, &mut source, &initial, seed)
-            }
-            (Some(xb_config), Some(tile_rows)) => {
+            Some(xb_config) => {
+                let tile_rows = self.tile_rows.unwrap_or(initial.len());
                 let mut source = DeviceMvm::new(
                     TiledCrossbar::program(coupling, xb_config.clone(), tile_rows),
                     self.in_bits,
@@ -355,7 +351,7 @@ impl crate::batch::BatchedSolve for SbAnnealer {
     ) -> RunResult {
         // The grid instance IS the MVM source: SB steps read the
         // replica's block-diagonal slice of the shared grid, so batched
-        // SB trials are bit-identical to monolithic device runs in Ideal
+        // SB trials are bit-identical to standalone device runs in Ideal
         // fidelity (same per-column read, different placement).
         let mut source = DeviceMvm::new(handle, self.in_bits);
         self.engine().run(coupling, &mut source, &initial, seed)

@@ -420,8 +420,8 @@ impl Session {
         }
     }
 
-    /// The shared Analytic/DeviceInLoop wiring for both device-capable
-    /// architectures.
+    /// The shared Analytic/DeviceInLoop wiring for every device-capable
+    /// architecture.
     fn plan_device_solver<S: DeviceBackendKnobs>(
         &self,
         solver: S,
@@ -435,10 +435,9 @@ impl Session {
                 tile_rows,
             } => {
                 let config = self.crossbar_for(fidelity);
-                Ok(match checked_tile_rows(tile_rows)? {
-                    None => Box::new(solver.device_in_loop(config)),
-                    Some(rows) => Box::new(solver.tiled_device_in_loop(config, rows)),
-                })
+                Ok(Box::new(
+                    solver.device_in_loop(config, checked_tile_rows(tile_rows)?),
+                ))
             }
             BackendPlan::Batched { .. } => Err(invalid(
                 "batched requests are executed by the shared-grid route, not a per-trial solver",
@@ -463,52 +462,33 @@ impl Session {
     }
 }
 
-/// The device-backend knobs shared by the two device-capable annealers —
-/// lets [`Session`] wire either architecture through one code path.
+/// The device-backend knobs shared by the device-capable solvers — lets
+/// [`Session`] wire every architecture through one code path.
 trait DeviceBackendKnobs: Solver + Sized + 'static {
     /// Strip device knobs back to the software-exact defaults.
     fn analytic(self) -> Self;
-    /// Route measurements through the monolithic simulated crossbar.
-    fn device_in_loop(self, config: CrossbarConfig) -> Self;
-    /// Route measurements through the tiled array composition.
-    fn tiled_device_in_loop(self, config: CrossbarConfig, tile_rows: usize) -> Self;
+    /// Route measurements through the simulated array: `tile_rows`-row
+    /// tiles, or one tile spanning the matrix when `None`.
+    fn device_in_loop(self, config: CrossbarConfig, tile_rows: Option<usize>) -> Self;
 }
 
-impl DeviceBackendKnobs for crate::CimAnnealer {
-    fn analytic(self) -> Self {
-        self.with_analytic_backend()
-    }
-    fn device_in_loop(self, config: CrossbarConfig) -> Self {
-        self.with_device_in_loop(config)
-    }
-    fn tiled_device_in_loop(self, config: CrossbarConfig, tile_rows: usize) -> Self {
-        self.with_tiled_device_in_loop(config, tile_rows)
-    }
+macro_rules! device_backend_knobs {
+    ($($solver:ty),*) => {$(
+        impl DeviceBackendKnobs for $solver {
+            fn analytic(self) -> Self {
+                self.with_analytic_backend()
+            }
+            fn device_in_loop(self, config: CrossbarConfig, tile_rows: Option<usize>) -> Self {
+                match tile_rows {
+                    None => self.with_device_in_loop(config),
+                    Some(rows) => self.with_tiled_device_in_loop(config, rows),
+                }
+            }
+        }
+    )*};
 }
 
-impl DeviceBackendKnobs for crate::SbAnnealer {
-    fn analytic(self) -> Self {
-        self.with_analytic_backend()
-    }
-    fn device_in_loop(self, config: CrossbarConfig) -> Self {
-        self.with_device_in_loop(config)
-    }
-    fn tiled_device_in_loop(self, config: CrossbarConfig, tile_rows: usize) -> Self {
-        self.with_tiled_device_in_loop(config, tile_rows)
-    }
-}
-
-impl DeviceBackendKnobs for crate::DirectAnnealer {
-    fn analytic(self) -> Self {
-        self.with_analytic_backend()
-    }
-    fn device_in_loop(self, config: CrossbarConfig) -> Self {
-        self.with_device_in_loop(config)
-    }
-    fn tiled_device_in_loop(self, config: CrossbarConfig, tile_rows: usize) -> Self {
-        self.with_tiled_device_in_loop(config, tile_rows)
-    }
-}
+device_backend_knobs!(crate::CimAnnealer, crate::SbAnnealer, crate::DirectAnnealer);
 
 fn checked_tile_rows(tile_rows: Option<usize>) -> Result<Option<usize>, SessionError> {
     match tile_rows {

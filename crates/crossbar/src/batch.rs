@@ -17,8 +17,7 @@
 //! * **Exact equivalence** — each instance's block behaves exactly like a
 //!   standalone [`TiledCrossbar`] over the same coupling; in
 //!   [`Fidelity::Ideal`](crate::Fidelity::Ideal) mode a batched read is
-//!   bit-identical to the per-instance monolithic
-//!   [`Crossbar`](crate::Crossbar) read.
+//!   bit-identical to the per-instance one-tile array read.
 //! * **Determinism** — [`BatchedTiledCrossbar::read_batch`] fans
 //!   instances out across threads, but instances are independent
 //!   sub-arrays with their own seeds and noise streams, so results do not
@@ -793,7 +792,7 @@ impl InSituArray for BatchInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::{Crossbar, Fidelity};
+    use crate::array::Fidelity;
     use fecim_device::VariationConfig;
     use fecim_ising::{DenseCoupling, FlipMask, SpinVector};
     use rand::rngs::StdRng;
@@ -844,7 +843,7 @@ mod tests {
             .collect();
         let batched = grid.read_batch(&reads);
         for i in 0..3 {
-            let mut mono = Crossbar::program(&problems[i], config());
+            let mut mono = TiledCrossbar::program(&problems[i], config(), n);
             let expected = mono.incremental_form(&rests[i], &changed[i], 0.7);
             assert_eq!(batched[i], expected, "instance {i}");
         }
@@ -941,7 +940,7 @@ mod tests {
         let mut handles = BatchedTiledCrossbar::handles(&shared);
         assert_eq!(handles.len(), 3);
         let s = SpinVector::all_up(n);
-        let mut mono = Crossbar::program(&p, config());
+        let mut mono = TiledCrossbar::program(&p, config(), n);
         let expected = mono.vmv(s.as_slice());
         for h in &mut handles {
             assert_eq!(h.dimension(), n);
@@ -960,7 +959,7 @@ mod tests {
     #[test]
     fn batched_mvm_matches_per_instance_monolithic_mvm() {
         // The SB placement contract: an instance's full-vector read on
-        // the shared grid is bit-identical to the standalone monolithic
+        // the shared grid is bit-identical to the standalone one-tile
         // array's, both through the grid API and a BatchInstance handle.
         let n = 18;
         let problems = [dense(n, 41), dense(n, 42)];
@@ -971,13 +970,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let s = SpinVector::random(n, &mut rng);
         for (i, p) in problems.iter().enumerate() {
-            let mut mono = Crossbar::program(p, config());
+            let mut mono = TiledCrossbar::program(p, config(), n);
             assert_eq!(grid.mvm(i, s.as_slice()), mono.mvm(s.as_slice()));
         }
         let shared = grid.into_shared();
         let mut handles = BatchedTiledCrossbar::handles(&shared);
         for (i, p) in problems.iter().enumerate() {
-            let mut mono = Crossbar::program(p, config());
+            let mut mono = TiledCrossbar::program(p, config(), n);
             assert_eq!(handles[i].mvm(s.as_slice()), mono.mvm(s.as_slice()));
             assert_eq!(handles[i].stats().array_ops, 2);
         }

@@ -34,9 +34,10 @@ pub struct ActivityStats {
     pub buffer_writes: u64,
     /// Physical tiles that participated in a read: tiles whose row range
     /// held a driven row AND whose column range held a selected group.
-    /// The monolithic array counts as one tile; a [`crate::TiledCrossbar`]
-    /// counts only the activated subset, which is what lets `fecim-hwcost`
-    /// scale array energy with activated tiles instead of whole-array `n`.
+    /// A [`crate::TiledCrossbar`] counts only the activated subset (a
+    /// one-tile grid counts its single tile), which is what lets
+    /// `fecim-hwcost` scale array energy with activated tiles instead of
+    /// whole-array `n`.
     pub tiles_activated: u64,
     /// Exponential-function evaluations (baseline annealers only; recorded
     /// here so one report covers the whole iteration).

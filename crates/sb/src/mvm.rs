@@ -94,8 +94,8 @@ impl<C: Coupling + ?Sized> MvmSource for ExactMvm<'_, C> {
 }
 
 /// Crossbar-backed coupling product: every product is an
-/// [`InSituArray::mvm`] read of a programmed array (monolithic, tiled,
-/// or a shared-grid batch instance), so quantization, ADC behaviour,
+/// [`InSituArray::mvm`] read of a programmed array (a tiled array — one
+/// tile or many — or a shared-grid batch instance), so quantization, ADC behaviour,
 /// fidelity modes and activity accounting all come from the simulated
 /// hardware.
 #[derive(Debug)]
@@ -181,7 +181,7 @@ impl<A: InSituArray> MvmSource for DeviceMvm<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fecim_crossbar::{Crossbar, CrossbarConfig};
+    use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
     use fecim_ising::{CsrCoupling, DenseCoupling};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -244,7 +244,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let x: Vec<f64> = (0..n).map(|_| 2.0 * rng.gen::<f64>() - 1.0).collect();
         let exact = ExactMvm::new(&j).mvm_continuous(&x);
-        let mut device = DeviceMvm::new(Crossbar::program(&j, CrossbarConfig::paper_defaults()), 8);
+        let array = TiledCrossbar::program(&j, CrossbarConfig::paper_defaults(), n);
+        let mut device = DeviceMvm::new(array, 8);
         let got = device.mvm_continuous(&x);
         // Error budget: 4-bit weight quantization (LSB n·max|J|/(2^4−1)
         // per column in the worst case) plus the 8-bit input code.
@@ -267,8 +268,10 @@ mod tests {
         let j = random_coupling(n, 9);
         let sigma: Vec<i8> = (0..n).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
         let run = || {
-            let mut device =
-                DeviceMvm::new(Crossbar::program(&j, CrossbarConfig::paper_defaults()), 4);
+            let mut device = DeviceMvm::new(
+                TiledCrossbar::program(&j, CrossbarConfig::paper_defaults(), n),
+                4,
+            );
             let out = device.mvm_signs(&sigma);
             (out, device.activity().unwrap().array_ops)
         };
@@ -283,6 +286,9 @@ mod tests {
     #[should_panic(expected = "at least one bit")]
     fn zero_input_bits_are_rejected() {
         let j = random_coupling(4, 1);
-        let _ = DeviceMvm::new(Crossbar::program(&j, CrossbarConfig::paper_defaults()), 0);
+        let _ = DeviceMvm::new(
+            TiledCrossbar::program(&j, CrossbarConfig::paper_defaults(), 4),
+            0,
+        );
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! 1. **Parallel per-stripe sensing** is bit-identical across
 //!    `RAYON_NUM_THREADS` ∈ {1, 2, 8} and across sensing modes, and in
-//!    Ideal fidelity still bit-identical to the monolithic `Crossbar` —
-//!    the parallel reduction replays the serial accumulation order, so
-//!    scheduling must never leak into results.
+//!    Ideal fidelity still bit-identical to the independent sequential
+//!    `IdealReference` — the parallel reduction replays the serial
+//!    accumulation order, so scheduling must never leak into results.
 //! 2. **Multi-problem batching**: reads against a shared
-//!    `BatchedTiledCrossbar` grid match per-instance monolithic reads in
+//!    `BatchedTiledCrossbar` grid match per-instance reference reads in
 //!    Ideal fidelity, and a batched device-in-the-loop ensemble solve
 //!    matches the unbatched tiled solver trial for trial.
 //! 3. **Counter-based read noise**: DeviceAccurate sensing with
@@ -31,10 +31,11 @@ use fecim::{
     SolverSpec,
 };
 use fecim_crossbar::{
-    BatchRead, BatchedTiledCrossbar, Crossbar, CrossbarConfig, Fidelity, SensingMode, TiledCrossbar,
+    BatchRead, BatchedTiledCrossbar, CrossbarConfig, Fidelity, SensingMode, TiledCrossbar,
 };
 use fecim_device::VariationConfig;
 use fecim_ising::{CsrCoupling, FlipMask, SpinVector};
+use fecim_tests::IdealReference;
 
 /// The paper crossbar in DeviceAccurate fidelity with typical variation
 /// (`read_noise_rel = 0.02`): the configuration that used to force the
@@ -107,7 +108,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Parallel sensing is bit-identical to sequential sensing and to the
-    /// monolithic array at every tested thread count.
+    /// reference read at every tested thread count.
     #[test]
     fn parallel_sensing_is_thread_count_invariant(
         (n, triplets) in coupling_strategy(48),
@@ -124,9 +125,9 @@ proptest! {
         let r = s_new.rest_vector(&mask);
         let c = s_new.changed_vector(&mask);
 
-        let mut mono = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
-        let vmv_expected = mono.vmv(spins.as_slice());
-        let inc_expected = mono.incremental_form(&r, &c, 0.41);
+        let reference = IdealReference::program(&coupling, &CrossbarConfig::paper_defaults());
+        let vmv_expected = reference.vmv(spins.as_slice());
+        let inc_expected = reference.incremental_form(&r, &c, 0.41);
 
         let tile_rows = (n / 3).max(1);
         let mut sequential =
@@ -151,7 +152,7 @@ proptest! {
         }
     }
 
-    /// Batched multi-instance reads match per-instance monolithic reads
+    /// Batched multi-instance reads match per-instance reference reads
     /// in Ideal fidelity, whatever the thread count driving the batch.
     #[test]
     fn batched_reads_match_monolithic_reads(
@@ -165,8 +166,8 @@ proptest! {
         let instances = 3usize;
         let spins: Vec<SpinVector> =
             (0..instances).map(|_| SpinVector::random(n, &mut rng)).collect();
-        let mut mono = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
-        let expected: Vec<f64> = spins.iter().map(|s| mono.vmv(s.as_slice())).collect();
+        let reference = IdealReference::program(&coupling, &CrossbarConfig::paper_defaults());
+        let expected: Vec<f64> = spins.iter().map(|s| reference.vmv(s.as_slice())).collect();
 
         for threads in ["1", "8"] {
             env.set_threads(threads);

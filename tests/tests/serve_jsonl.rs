@@ -263,6 +263,24 @@ fn malformed_lines_are_a_stream_error_with_position() {
 }
 
 #[test]
+fn nesting_bomb_line_is_a_parse_error_not_a_crash() {
+    // 400 000 unclosed brackets on one line: the parser stops at its
+    // nesting limit and reports the line instead of overflowing the
+    // stack and aborting the process.
+    let input = format!("{}\n", "[".repeat(400_000));
+    let err = run_jsonl(
+        BufReader::new(input.as_bytes()),
+        Vec::new(),
+        SchedulerConfig::workers(1),
+    )
+    .expect_err("nesting bomb");
+    match err {
+        JsonlError::Parse { line, .. } => assert_eq!(line, 1),
+        other => panic!("expected Parse, got {other}"),
+    }
+}
+
+#[test]
 fn invalid_requests_inside_valid_lines_fail_their_own_job() {
     // A structurally valid line whose *request* is rejected at prepare
     // time (non-square Q): the stream keeps serving.

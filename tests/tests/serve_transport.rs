@@ -338,6 +338,48 @@ fn tcp_isolates_bad_lines_and_duplicate_ids() {
 }
 
 #[test]
+fn tcp_connection_survives_a_nesting_bomb() {
+    // One line of 400 000 `[` must fail as an unparsable line — not
+    // overflow the connection thread's stack and abort the server — and
+    // the same connection must go on serving well-formed requests.
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        TcpServerConfig {
+            scheduler: SchedulerConfig::workers(1),
+            max_open_jobs: None,
+        },
+    )
+    .expect("server binds");
+    let stream = TcpStream::connect(server.local_addr()).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut recv = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("recv");
+        serde_json::from_str::<ResponseLine>(line.trim()).expect("response parses")
+    };
+    writeln!(writer, "{}", "[".repeat(400_000)).expect("send bomb");
+    writer.flush().expect("flush");
+    match recv() {
+        ResponseLine::Failed { id, error } => {
+            assert_eq!(id, "line-1");
+            assert!(error.starts_with("unparsable"), "{error}");
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    let submit = RequestLine::Submit {
+        id: "after".into(),
+        request: ensemble(8, 100, 1, 3),
+        options: SubmitOptions::default(),
+    };
+    writeln!(writer, "{}", json(&submit)).expect("send submit");
+    writer.flush().expect("flush");
+    assert!(matches!(recv(), ResponseLine::Completed { id, .. } if id == "after"));
+    drop(writer);
+    server.shutdown();
+}
+
+#[test]
 fn duplicate_ids_are_rejected_across_connections() {
     // Ids key the journal (and the recover subcommand's output), so
     // uniqueness is server-wide: a second CONNECTION reusing an id must

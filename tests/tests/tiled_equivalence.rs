@@ -1,16 +1,18 @@
 //! Adversarial contract of the tiled crossbar: in `Fidelity::Ideal` mode
-//! the tiled composition must be **bit-identical** to the monolithic
-//! array — same global quantization, one ADC quantization point per
-//! column/bit-slice on the chained stripe lines — for any tile size,
-//! whether or not it divides `n`. Plus the G-set-scale acceptance run:
-//! an `n ≥ 800` instance device-in-the-loop through 256-row tiles.
+//! every read must be **bit-identical** to the independent sequential
+//! [`IdealReference`] — same global quantization, one ADC quantization
+//! point per column/bit-slice on the chained stripe lines — for any tile
+//! size, whether or not it divides `n`, including the single tile. Plus
+//! the G-set-scale acceptance run: an `n ≥ 800` instance
+//! device-in-the-loop through 256-row tiles.
 
 use proptest::prelude::*;
 
 use fecim::CimAnnealer;
-use fecim_crossbar::{Crossbar, CrossbarConfig, TiledCrossbar};
+use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{CsrCoupling, FlipMask, SpinVector};
+use fecim_tests::IdealReference;
 
 /// Strategy: a random symmetric coupling (as triplets) over `n` spins.
 fn coupling_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
@@ -47,8 +49,8 @@ fn tile_sizes(n: usize) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// TiledCrossbar::vmv equals Crossbar::vmv exactly in Ideal fidelity,
-    /// for dividing and non-dividing tile sizes.
+    /// TiledCrossbar::vmv equals the reference read exactly in Ideal
+    /// fidelity, for dividing and non-dividing tile sizes.
     #[test]
     fn tiled_vmv_is_exactly_monolithic(
         (n, triplets) in coupling_strategy(24),
@@ -58,8 +60,8 @@ proptest! {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let spins = SpinVector::random(n, &mut rng);
-        let mut mono = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
-        let expected = mono.vmv(spins.as_slice());
+        let reference = IdealReference::program(&coupling, &CrossbarConfig::paper_defaults());
+        let expected = reference.vmv(spins.as_slice());
         for tile_rows in tile_sizes(n) {
             let mut tiled =
                 TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), tile_rows);
@@ -71,7 +73,7 @@ proptest! {
         }
     }
 
-    /// TiledCrossbar::incremental_form equals the monolithic read exactly
+    /// TiledCrossbar::incremental_form equals the reference read exactly
     /// in Ideal fidelity, for random flip masks and a scaled annealing
     /// factor.
     #[test]
@@ -88,18 +90,39 @@ proptest! {
         let s_new = spins.flipped_by(&mask);
         let r = s_new.rest_vector(&mask);
         let c = s_new.changed_vector(&mask);
-        let mut mono = Crossbar::program(&coupling, CrossbarConfig::paper_defaults());
+        let reference = IdealReference::program(&coupling, &CrossbarConfig::paper_defaults());
         for tile_rows in tile_sizes(n) {
             let mut tiled =
                 TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), tile_rows);
             for factor in [1.0f64, 0.41] {
-                let expected = mono.incremental_form(&r, &c, factor);
+                let expected = reference.incremental_form(&r, &c, factor);
                 let got = tiled.incremental_form(&r, &c, factor);
                 prop_assert_eq!(
                     got, expected,
                     "tile_rows={} n={} factor={}", tile_rows, n, factor
                 );
             }
+        }
+    }
+
+    /// TiledCrossbar::mvm equals the reference product column for column
+    /// in Ideal fidelity, including drives with zero rows (the bit planes
+    /// of the continuous SB drive).
+    #[test]
+    fn tiled_mvm_is_exactly_the_reference(
+        (n, triplets) in coupling_strategy(24),
+        seed in 0u64..1000,
+    ) {
+        let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let drive: Vec<i8> = (0..n).map(|_| rng.gen_range(-1i8..=1)).collect();
+        let reference = IdealReference::program(&coupling, &CrossbarConfig::paper_defaults());
+        let expected = reference.mvm(&drive);
+        for tile_rows in tile_sizes(n) {
+            let mut tiled =
+                TiledCrossbar::program(&coupling, CrossbarConfig::paper_defaults(), tile_rows);
+            prop_assert_eq!(tiled.mvm(&drive), expected.clone(), "tile_rows={} n={}", tile_rows, n);
         }
     }
 }
@@ -137,8 +160,8 @@ fn gset_scale_instance_runs_through_256_row_tiles() {
 #[test]
 fn non_divisible_gset_scale_tiling_matches_monolithic_solve() {
     // 900 spins on 256-row tiles (remainder band of 132 rows): the whole
-    // Ideal-fidelity solve trajectory must equal the monolithic
-    // device-in-the-loop run bit for bit.
+    // Ideal-fidelity solve trajectory must equal the untiled
+    // device-in-the-loop run (one 900-row tile) bit for bit.
     let n = 900;
     let graph = GeneratorConfig::new(n, 0x6E58)
         .with_family(GsetFamily::RandomUnit)
