@@ -227,6 +227,67 @@ fn untiled_device_accurate_probe_matches_golden() {
 }
 
 #[test]
+fn batched_session_matches_golden() {
+    // Locks `Session::run`'s shared-grid route end to end: per-trial
+    // reports, the per-chunk `BatchGridSummary` rows and the aggregate
+    // summary, for a noisy CiM ensemble packed 2+2+1 onto three grids,
+    // an Ideal dSB ensemble, and a warm-started noisy CiM ensemble.
+    use fecim::SbAnnealer;
+    let n = 24;
+    let ring = ProblemSpec::MaxCut {
+        vertices: n,
+        edges: (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect(),
+    };
+    let batched = BackendPlan::Batched {
+        tile_rows: 8,
+        instances: 2,
+    };
+    let ensemble = |trials: usize, base_seed: u64| RunPlan::Ensemble {
+        trials,
+        base_seed,
+        threads: None,
+    };
+    let mut noisy = CrossbarConfig::paper_defaults();
+    noisy.fidelity = Fidelity::DeviceAccurate;
+    noisy.variation = VariationConfig::typical();
+    let noisy_session = Session::new().with_crossbar(noisy);
+
+    let cim = SolverSpec::Cim(CimAnnealer::new(120).with_flips(2));
+    let cim_noisy = noisy_session
+        .run(
+            &SolveRequest::new(ring.clone(), cim.clone())
+                .with_backend(batched)
+                .with_run(ensemble(5, 2025)),
+        )
+        .expect("ring encodes");
+    assert_eq!(cim_noisy.grids.len(), 3, "5 trials at 2 per grid");
+    let dsb_ideal = Session::new()
+        .run(
+            &SolveRequest::new(ring.clone(), SolverSpec::Sb(SbAnnealer::discrete(60)))
+                .with_backend(batched)
+                .with_run(ensemble(3, 7)),
+        )
+        .expect("ring encodes");
+    let start: Vec<i8> = (0..n).map(|i| if i % 3 == 0 { -1 } else { 1 }).collect();
+    let cim_warm = noisy_session
+        .run(
+            &SolveRequest::new(ring, cim)
+                .with_backend(batched)
+                .with_run(ensemble(3, 11))
+                .with_initial_spins(start),
+        )
+        .expect("ring encodes");
+    check_golden(
+        "batched_session",
+        &serde_json::json!({
+            "cim_device_accurate": cim_noisy,
+            "dsb_ideal": dsb_ideal,
+            "cim_warm_start": cim_warm,
+        }),
+    );
+}
+
+#[test]
 fn queue_sweep_trace_matches_golden() {
     // A scaled-down `queue_sweep` trace: one worker, staged start, so
     // execution order is pure (priority, deadline, id) queue order and
