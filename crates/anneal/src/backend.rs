@@ -182,11 +182,6 @@ impl<'a> BatchedBackend<'a> {
     ) -> BatchedBackend<'a> {
         DeviceBackend::from_array(handle, coupling, initial)
     }
-
-    /// The shared-grid handle this backend reads through.
-    pub fn handle(&self) -> &BatchInstance {
-        &self.array
-    }
 }
 
 impl<A: InSituArray> EnergyBackend for DeviceBackend<'_, A> {

@@ -12,7 +12,7 @@ use fecim_anneal::{
 use fecim_crossbar::CrossbarConfig;
 use fecim_device::{AnnealFactor, DeviceFactor, FractionalFactor, TableFactor};
 use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
-use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, IsingModel, SpinVector};
+use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, SpinVector};
 
 use crate::solver::Solver;
 
@@ -221,13 +221,6 @@ impl CimAnnealer {
     /// Propagates encoding errors from the problem's Ising transformation.
     pub fn solve<P: CopProblem>(&self, problem: &P, seed: u64) -> Result<SolveReport, IsingError> {
         Solver::solve(self, problem, seed)
-    }
-
-    /// Anneal a raw Ising model and return the run plus the best solution
-    /// projected back to the model's original spins (see
-    /// [`Solver::anneal_model`]).
-    pub fn anneal_model(&self, model: &IsingModel, seed: u64) -> (RunResult, SpinVector) {
-        Solver::anneal_model(self, model, seed)
     }
 
     /// Run the in-situ flow against a caller-supplied energy backend —

@@ -19,20 +19,14 @@
 //! placement change, not an algorithm change — which is exactly what the
 //! equivalence tests pin.
 
-use std::sync::PoisonError;
-
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::BatchedBackend;
-use fecim_anneal::Ensemble;
-use fecim_crossbar::{BatchInstance, BatchedTiledCrossbar, CrossbarConfig};
-use fecim_hwcost::{energy_of, time_of, CostModel, ExpUnit};
-#[cfg(test)]
-use fecim_ising::IsingError;
-use fecim_ising::{CopProblem, Coupling, IsingModel, SpinVector};
+use fecim_crossbar::{BatchInstance, BatchedTiledCrossbar};
+use fecim_ising::SpinVector;
 
 use crate::annealer::{CimAnnealer, SolveReport};
-use crate::solver::{Solver, INIT_SEED_SALT};
+use crate::solver::Solver;
 
 /// A solver that can anneal one replica against a shared-grid instance
 /// handle — the hook that lets the batched route serve both the CiM
@@ -94,183 +88,38 @@ pub struct BatchGridSummary {
     pub instances_per_second: f64,
 }
 
-/// Outcome of one shared-grid batched ensemble: the per-replica reports
-/// (trial order, bit-identical to unbatched runs in Ideal fidelity) plus
-/// the shared-grid summary.
-#[derive(Debug, Clone)]
-pub struct BatchedEnsembleOutcome {
-    /// One report per ensemble trial, in trial order.
-    pub reports: Vec<SolveReport>,
-    /// Grid-level sharing summary.
-    pub grid: BatchGridSummary,
-}
-
-/// Solve `ensemble.trials()` device-in-the-loop replicas of `problem` on
-/// one shared physical grid: encodes the problem once, then delegates to
-/// [`batched_ensemble_prepared`]. Per-trial seeds and the
-/// initial-configuration draw match
-/// [`Solver::anneal_model`](crate::Solver::anneal_model), so in Ideal
-/// fidelity trial `i` reproduces
-/// `solver.with_tiled_device_in_loop(config, tile_rows)` solving the
-/// same problem with seed `base_seed + i`, bit for bit.
-///
-/// # Errors
-///
-/// Propagates encoding errors from the problem's Ising transformation.
-///
-/// # Panics
-///
-/// Panics if `ensemble` plans zero trials or `tile_rows == 0`.
-#[cfg(test)] // production callers go through `Session`'s prepared route
-pub(crate) fn batched_ensemble(
-    solver: &dyn BatchedSolve,
-    problem: &(dyn CopProblem + Sync),
-    config: CrossbarConfig,
-    tile_rows: usize,
-    ensemble: &Ensemble,
-) -> Result<BatchedEnsembleOutcome, IsingError> {
-    let model = problem.to_ising()?;
-    let quadratic = model.to_quadratic_only();
-    Ok(batched_ensemble_prepared(
-        solver, problem, &model, &quadratic, config, tile_rows, ensemble, None,
-    ))
-}
-
-/// One shared-grid ensemble over an already-encoded model; the
-/// [`Session`](crate::Session) batched route calls this with the
-/// encoding its `prepare` step produced, one grid per `instances`-wide
-/// chunk of the run plan — no re-encoding per chunk.
-#[allow(clippy::too_many_arguments)] // pub(crate) plumbing shared by two call sites
-pub(crate) fn batched_ensemble_prepared(
-    solver: &dyn BatchedSolve,
-    problem: &(dyn CopProblem + Sync),
-    model: &IsingModel,
-    quadratic: &IsingModel,
-    config: CrossbarConfig,
-    tile_rows: usize,
-    ensemble: &Ensemble,
-    start: Option<&SpinVector>,
-) -> BatchedEnsembleOutcome {
-    assert!(ensemble.trials() > 0, "need at least one trial");
-    let cost_model = CostModel::paper_22nm_tiled(model.dimension(), config.quant_bits, tile_rows);
-
-    let grid = BatchedTiledCrossbar::replicate(
-        quadratic.couplings(),
-        ensemble.trials(),
-        config,
-        tile_rows,
-    )
-    .into_shared();
-    let reports: Vec<SolveReport> = ensemble.run_batched(&grid, |_, seed, handle| {
-        batched_trial_report(
-            solver,
-            problem,
-            model,
-            quadratic,
-            &cost_model,
-            seed,
-            handle,
-            start,
-        )
-    });
-
-    let mut total_energy = 0.0f64;
-    let mut batch_time = 0.0f64;
-    let mut serial_time = 0.0f64;
-    for report in &reports {
-        total_energy += report.energy.total();
-        batch_time = batch_time.max(report.time.total());
-        serial_time += report.time.total();
-    }
-
-    let grid = grid.lock().unwrap_or_else(PoisonError::into_inner);
-    let (bands, stripes) = grid.grid();
-    let physical_tiles = grid.physical_tiles();
-    let summary = BatchGridSummary {
-        instances: grid.instance_count(),
-        tile_rows,
-        grid: (bands, stripes),
-        physical_tiles,
-        concurrent_utilization: concurrent_utilization(&grid),
-        total_energy,
-        batch_time,
-        serial_time,
-        instances_per_second: if batch_time > 0.0 {
-            grid.instance_count() as f64 / batch_time
-        } else {
-            0.0
-        },
-    };
-    BatchedEnsembleOutcome {
-        reports,
-        grid: summary,
-    }
-}
-
-/// One device-in-the-loop trial of `problem` on a shared-grid instance:
-/// the inner unit behind [`batched_ensemble`] *and* the scheduler's
-/// live-grid admission (`fecim-serve`), so both execute replicas
-/// identically. Per-trial seeding and the initial-configuration draw
-/// match [`Solver::anneal_model`](crate::Solver::anneal_model); in Ideal
-/// fidelity the trial is bit-identical to
-/// `solver.with_tiled_device_in_loop(config, tile_rows)` solving the
-/// same problem with the same seed. In device-accurate fidelity the
-/// instance is first reseeded from the trial seed, so trial results are
-/// a pure function of `(request, trial seed)` — invariant to chunking,
-/// live-grid admission order, and scheduler worker count. The replica
-/// is priced at tile-scale geometry from its own measured activity,
-/// regardless of who else shares the grid.
-#[allow(clippy::too_many_arguments)] // pub(crate) plumbing shared by two call sites
-pub(crate) fn batched_trial_report(
-    solver: &dyn BatchedSolve,
-    problem: &dyn CopProblem,
-    model: &IsingModel,
-    quadratic: &IsingModel,
-    cost_model: &CostModel,
-    seed: u64,
-    mut handle: BatchInstance,
-    start: Option<&SpinVector>,
-) -> SolveReport {
-    use rand::SeedableRng;
-    // Re-program the instance's stochastic state from the trial seed
-    // (a write-verify pass for the new tenant) so device-accurate
-    // results are invariant to slot placement, chunking, admission
-    // order, and scheduler worker count. No-op in Ideal variation.
-    handle.reseed_for_trial(seed);
-    let coupling = quadratic.couplings();
-    let initial = match start {
-        // Warm start: every replica anneals from the request's supplied
-        // spins (embedded into the ancilla space when fields exist).
-        Some(start) => crate::solver::embed_start(model, start),
-        None => {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ INIT_SEED_SALT);
-            SpinVector::random(coupling.dimension(), &mut rng)
+impl BatchGridSummary {
+    /// Summarize one chunk grid after its replicas ran: placement from
+    /// `grid`, hardware totals from the chunk's `reports`.
+    pub(crate) fn of(
+        grid: &BatchedTiledCrossbar,
+        tile_rows: usize,
+        reports: &[SolveReport],
+    ) -> BatchGridSummary {
+        let mut total_energy = 0.0f64;
+        let mut batch_time = 0.0f64;
+        let mut serial_time = 0.0f64;
+        for report in reports {
+            total_energy += report.energy.total();
+            batch_time = batch_time.max(report.time.total());
+            serial_time += report.time.total();
         }
-    };
-    let run = solver.anneal_batched(coupling, initial, handle, seed);
-
-    let spins = if model.is_quadratic_only() {
-        run.best_spins.clone()
-    } else {
-        model.project_from_quadratic(&run.best_spins)
-    };
-    let objective = problem.native_objective(&spins);
-    let feasible = problem.is_feasible(&spins);
-    let stats = run
-        .activity
-        // audit:allow(panic-path): this path only runs trials through batched crossbar backends, which always populate `activity`; a None is a backend bug that must abort, not report zero cost
-        .expect("batched backends always record activity");
-    let energy = energy_of(&stats, cost_model, ExpUnit::Asic);
-    let time = time_of(&stats, cost_model, ExpUnit::Asic);
-    SolveReport {
-        kind: solver.kind(),
-        best_energy: run.best_energy,
-        objective: Some(objective),
-        feasible,
-        best_spins: spins,
-        energy,
-        time,
-        run,
+        let instances = grid.instance_count();
+        BatchGridSummary {
+            instances,
+            tile_rows,
+            grid: grid.grid(),
+            physical_tiles: grid.physical_tiles(),
+            concurrent_utilization: concurrent_utilization(grid),
+            total_energy,
+            batch_time,
+            serial_time,
+            instances_per_second: if batch_time > 0.0 {
+                instances as f64 / batch_time
+            } else {
+                0.0
+            },
+        }
     }
 }
 
@@ -294,60 +143,34 @@ fn concurrent_utilization(grid: &BatchedTiledCrossbar) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use fecim_ising::MaxCut;
-
-    fn ring_problem(n: usize) -> MaxCut {
-        MaxCut::new(n, (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect()).unwrap()
-    }
-
-    #[test]
-    fn batched_ensemble_matches_unbatched_tiled_solves_bit_for_bit() {
-        let problem = ring_problem(24);
-        let solver = CimAnnealer::new(150).with_flips(1);
-        let ensemble = Ensemble::new(3, 41);
-        let batched = batched_ensemble(
-            &solver,
-            &problem,
-            CrossbarConfig::paper_defaults(),
-            8,
-            &ensemble,
-        )
-        .expect("ring encodes");
-        assert_eq!(batched.reports.len(), 3);
-        let unbatched_solver = CimAnnealer::new(150)
-            .with_flips(1)
-            .with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 8);
-        for (i, seed) in ensemble.seeds().enumerate() {
-            let solo = unbatched_solver
-                .solve(&problem, seed)
-                .expect("ring encodes");
-            assert_eq!(
-                batched.reports[i].best_energy, solo.best_energy,
-                "trial {i}"
-            );
-            assert_eq!(batched.reports[i].best_spins, solo.best_spins, "trial {i}");
-            assert_eq!(
-                batched.reports[i].run.accepted, solo.run.accepted,
-                "trial {i}"
-            );
-        }
-    }
+    use crate::{
+        BackendPlan, CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, SolverSpec,
+    };
 
     #[test]
     fn batch_summary_reports_sharing_win() {
-        let problem = ring_problem(16);
-        let solver = CimAnnealer::new(80).with_flips(1);
-        let ensemble = Ensemble::new(4, 7);
-        let out = batched_ensemble(
-            &solver,
-            &problem,
-            CrossbarConfig::paper_defaults(),
-            4,
-            &ensemble,
-        )
-        .expect("ring encodes");
-        let g = &out.grid;
+        let out = Session::new()
+            .run(
+                &SolveRequest::new(
+                    ProblemSpec::MaxCut {
+                        vertices: 16,
+                        edges: (0..16).map(|i| (i, (i + 1) % 16, 1.0)).collect(),
+                    },
+                    SolverSpec::Cim(CimAnnealer::new(80).with_flips(1)),
+                )
+                .with_backend(BackendPlan::Batched {
+                    tile_rows: 4,
+                    instances: 4,
+                })
+                .with_run(RunPlan::Ensemble {
+                    trials: 4,
+                    base_seed: 7,
+                    threads: None,
+                }),
+            )
+            .expect("ring encodes");
+        assert_eq!(out.grids.len(), 1);
+        let g = &out.grids[0];
         assert_eq!(g.instances, 4);
         assert_eq!(g.grid.0, 4);
         assert_eq!(g.grid.1, 16, "4 replicas × 4 stripes each");
@@ -370,44 +193,5 @@ mod tests {
         }
         let attributed: f64 = out.reports.iter().map(|r| r.energy.total()).sum();
         assert!((attributed - g.total_energy).abs() < 1e-12 * g.total_energy.abs().max(1.0));
-    }
-
-    #[test]
-    fn batched_ensemble_propagates_encoding_errors() {
-        use fecim_ising::{IsingModel, ObjectiveSense, SpinVector};
-
-        #[derive(Debug)]
-        struct Unencodable;
-        impl CopProblem for Unencodable {
-            fn spin_count(&self) -> usize {
-                4
-            }
-            fn to_ising(&self) -> Result<IsingModel, IsingError> {
-                Err(IsingError::InvalidProblem("no Ising form".into()))
-            }
-            fn native_objective(&self, _: &SpinVector) -> f64 {
-                0.0
-            }
-            fn objective_sense(&self) -> ObjectiveSense {
-                ObjectiveSense::Maximize
-            }
-            fn is_feasible(&self, _: &SpinVector) -> bool {
-                true
-            }
-            fn name(&self) -> &str {
-                "unencodable"
-            }
-        }
-
-        let solver = CimAnnealer::new(10);
-        let err = batched_ensemble(
-            &solver,
-            &Unencodable,
-            CrossbarConfig::paper_defaults(),
-            4,
-            &Ensemble::new(2, 1),
-        )
-        .expect_err("must propagate, not panic");
-        assert!(matches!(err, IsingError::InvalidProblem(_)));
     }
 }

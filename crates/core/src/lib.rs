@@ -93,11 +93,14 @@
 //! ```
 //!
 //! The builder-style solvers ([`CimAnnealer`], [`DirectAnnealer`],
-//! [`MesaAnnealer`]) and the [`Solver`] trait remain the machinery
-//! underneath — [`Solver::solve`] is still the right call for quick
-//! one-off library use. Everything ensemble- or batch-shaped goes
-//! through requests (the legacy `normalized_ensemble` /
-//! `solve_batched_ensemble` free functions have been removed).
+//! [`MesaAnnealer`], [`SbAnnealer`]) and the [`Solver`] trait remain the
+//! machinery underneath — [`Solver::solve`] is still the right call for
+//! quick one-off library use, and runs the same trial pipeline as every
+//! request route. Everything ensemble- or batch-shaped goes through
+//! requests: [`Session::run`] for a whole request, or
+//! [`Session::prepare`] and the [`PreparedJob`] trial methods for a
+//! scheduler. A batched response reports one [`BatchGridSummary`] per
+//! chunk grid.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -115,7 +118,7 @@ mod solver;
 
 pub use annealer::{CimAnnealer, FactorChoice, SolveReport};
 pub use baselines::DirectAnnealer;
-pub use batch::{BatchGridSummary, BatchedEnsembleOutcome};
+pub use batch::BatchGridSummary;
 pub use experiment::{
     cost_trend, run_experiment, AlgoStats, ExperimentConfig, ExperimentOutcome, GroupOutcome,
     HardwareCost, Scale, TrendPoint,

@@ -240,15 +240,6 @@ impl RunPlan {
             RunPlan::Ensemble { threads, .. } => threads,
         }
     }
-
-    /// The equivalent [`Ensemble`](fecim_anneal::Ensemble) plan.
-    pub(crate) fn to_ensemble(self) -> fecim_anneal::Ensemble {
-        let ensemble = fecim_anneal::Ensemble::new(self.trials(), self.base_seed());
-        match self.threads() {
-            Some(cap) => ensemble.with_max_threads(cap),
-            None => ensemble,
-        }
-    }
 }
 
 /// One self-contained solve job: problem + solver + backend + run plan,

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use fecim_anneal::RunResult;
 use fecim_crossbar::{BatchInstance, CrossbarConfig, TiledCrossbar};
 use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
-use fecim_ising::{CopProblem, CsrCoupling, IsingError, IsingModel, SpinVector};
+use fecim_ising::{CopProblem, CsrCoupling, IsingError, SpinVector};
 use fecim_sb::{DeviceMvm, ExactMvm, PressureSchedule, SbEngine, SbVariant};
 
 use crate::annealer::SolveReport;
@@ -248,13 +248,6 @@ impl SbAnnealer {
     /// Propagates encoding errors from the problem's Ising transformation.
     pub fn solve<P: CopProblem>(&self, problem: &P, seed: u64) -> Result<SolveReport, IsingError> {
         Solver::solve(self, problem, seed)
-    }
-
-    /// Run the SB dynamics on a raw Ising model and return the run plus
-    /// the best solution projected back to the model's original spins
-    /// (see [`Solver::anneal_model`]).
-    pub fn anneal_model(&self, model: &IsingModel, seed: u64) -> (RunResult, SpinVector) {
-        Solver::anneal_model(self, model, seed)
     }
 
     /// The configured `fecim-sb` engine.

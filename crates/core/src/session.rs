@@ -35,21 +35,20 @@
 //! summarization. `Session::run` itself is a thin loop over this API.
 
 use std::fmt;
+use std::sync::PoisonError;
 
 use serde::{Deserialize, Serialize};
 
-use fecim_crossbar::{BatchInstance, CrossbarConfig, Fidelity};
+use fecim_anneal::Ensemble;
+use fecim_crossbar::{BatchInstance, BatchedTiledCrossbar, CrossbarConfig, Fidelity};
 use fecim_device::VariationConfig;
-use fecim_ising::{CopProblem, CsrCoupling, IsingError, IsingModel, ObjectiveSense, SpinVector};
-
-use fecim_hwcost::CostModel;
+use fecim_hwcost::{energy_of, time_of, CostModel, ExpUnit};
+use fecim_ising::{CopProblem, CsrCoupling, IsingError, ObjectiveSense, SpinVector};
 
 use crate::annealer::SolveReport;
-use crate::batch::{
-    batched_ensemble_prepared, batched_trial_report, BatchGridSummary, BatchedSolve,
-};
+use crate::batch::{BatchGridSummary, BatchedSolve};
 use crate::request::{BackendPlan, RunPlan, SolveRequest, SolverSpec};
-use crate::solver::Solver;
+use crate::solver::{trial, Encoding, Solver};
 
 /// Error raised while validating or executing a [`SolveRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -237,57 +236,46 @@ impl Session {
     /// encode.
     pub fn run(&self, request: &SolveRequest) -> Result<SolveResponse, SessionError> {
         let job = self.prepare(request)?;
-        let (reports, grids) = match &job.route {
-            PreparedRoute::Solver { .. } => {
-                let reports = job
-                    .run
-                    .to_ensemble()
-                    .run(|seed| job.run_trial_seeded(seed))
-                    .into_iter()
-                    .collect::<Result<Vec<_>, SessionError>>()?;
-                (reports, Vec::new())
-            }
-            PreparedRoute::Batched {
-                solver,
-                config,
-                tile_rows,
-                instances,
-                model,
-                quadratic,
-                ..
-            } => {
-                // Replicas packed `instances` at a time onto successive
-                // physical grids, with flat seed numbering across chunks
-                // (the encoding from `prepare` is reused, not redone).
-                let trials = job.run.trials();
-                let base_seed = job.run.base_seed();
-                let mut reports = Vec::with_capacity(trials);
-                let mut grids = Vec::new();
-                let mut start = 0usize;
-                while start < trials {
-                    let width = (*instances).min(trials - start);
-                    let mut ensemble =
-                        fecim_anneal::Ensemble::new(width, base_seed.wrapping_add(start as u64));
-                    if let Some(cap) = job.run.threads() {
-                        ensemble = ensemble.with_max_threads(cap);
-                    }
-                    let outcome = batched_ensemble_prepared(
-                        solver.as_ref(),
-                        job.problem.as_ref(),
-                        model,
-                        quadratic,
-                        config.clone(),
-                        *tile_rows,
-                        &ensemble,
-                        job.initial.as_ref(),
-                    );
-                    reports.extend(outcome.reports);
-                    grids.push(outcome.grid);
-                    start += width;
-                }
-                (reports, grids)
-            }
+        let PreparedRoute::Batched {
+            config,
+            tile_rows,
+            instances,
+            ..
+        } = &job.route
+        else {
+            let reports = job
+                .ensemble(0, job.trials())
+                .run_indexed(|trial, _| job.run_trial(trial))
+                .into_iter()
+                .collect::<Result<Vec<_>, SessionError>>()?;
+            return job.finish(reports, Vec::new());
         };
+        // Replicas packed `instances` at a time onto successive physical
+        // grids, with flat trial numbering across chunks.
+        let mut reports = Vec::with_capacity(job.trials());
+        let mut grids = Vec::new();
+        let mut start = 0;
+        while start < job.trials() {
+            let width = (*instances).min(job.trials() - start);
+            let grid = BatchedTiledCrossbar::replicate(
+                job.encoding.coupling(),
+                width,
+                config.clone(),
+                *tile_rows,
+            )
+            .into_shared();
+            let chunk = job
+                .ensemble(start, width)
+                .run_batched(&grid, |i, _, handle| {
+                    job.run_batched_trial(start + i, handle)
+                })
+                .into_iter()
+                .collect::<Result<Vec<_>, SessionError>>()?;
+            let grid = grid.lock().unwrap_or_else(PoisonError::into_inner);
+            grids.push(BatchGridSummary::of(&grid, *tile_rows, &chunk));
+            reports.extend(chunk);
+            start += width;
+        }
         job.finish(reports, grids)
     }
 
@@ -334,7 +322,10 @@ impl Session {
                 Some(SpinVector::from_signs(spins))
             }
         };
-        let route = match request.backend {
+        // Encoding is deterministic: encode once up front so a bad
+        // instance fails fast and trials reuse the model instead of
+        // re-encoding per seed.
+        let (encoding, route) = match request.backend {
             BackendPlan::Batched {
                 tile_rows,
                 instances,
@@ -364,33 +355,29 @@ impl Session {
                     .crossbar
                     .clone()
                     .unwrap_or_else(CrossbarConfig::paper_defaults);
-                let model = problem.to_ising()?;
-                let quadratic = model.to_quadratic_only();
-                let cost_model =
-                    CostModel::paper_22nm_tiled(model.dimension(), config.quant_bits, tile_rows);
-                PreparedRoute::Batched {
+                let encoding = Encoding::of(problem.as_ref())?;
+                let cost_model = CostModel::paper_22nm_tiled(
+                    encoding.model.dimension(),
+                    config.quant_bits,
+                    tile_rows,
+                );
+                let route = PreparedRoute::Batched {
                     solver,
                     config,
                     tile_rows,
                     instances,
-                    model,
-                    quadratic,
                     cost_model,
-                }
+                };
+                (encoding, route)
             }
-            _ => {
-                // Encoding is deterministic: encode once up front so a
-                // bad instance fails fast and trials reuse the model
-                // instead of re-encoding per seed.
-                let model = problem.to_ising()?;
-                PreparedRoute::Solver {
-                    solver: self.build_solver(&request.solver, request.backend)?,
-                    model,
-                }
-            }
+            _ => (
+                Encoding::of(problem.as_ref())?,
+                PreparedRoute::Solver(self.build_solver(&request.solver, request.backend)?),
+            ),
         };
         Ok(PreparedJob {
             problem,
+            encoding,
             route,
             run: request.run,
             reference: request.reference,
@@ -502,12 +489,8 @@ fn checked_tile_rows(tile_rows: Option<usize>) -> Result<Option<usize>, SessionE
 // variants is irrelevant, boxing would only add indirection.
 #[allow(clippy::large_enum_variant)]
 enum PreparedRoute {
-    /// Analytic / device-in-the-loop: one configured solver per trial,
-    /// annealing the model encoded once at prepare time.
-    Solver {
-        solver: Box<dyn Solver>,
-        model: IsingModel,
-    },
+    /// Analytic / device-in-the-loop: one configured solver per trial.
+    Solver(Box<dyn Solver>),
     /// Shared-grid batching: trials run as replicas on a
     /// [`BatchedTiledCrossbar`](fecim_crossbar::BatchedTiledCrossbar)
     /// (chunked grids under [`Session::run`]; live admission under the
@@ -517,8 +500,6 @@ enum PreparedRoute {
         config: CrossbarConfig,
         tile_rows: usize,
         instances: usize,
-        model: IsingModel,
-        quadratic: IsingModel,
         cost_model: CostModel,
     },
 }
@@ -534,6 +515,8 @@ enum PreparedRoute {
 /// grid slot, reproduce what [`Session::run`] computes bit for bit.
 pub struct PreparedJob {
     problem: Box<dyn CopProblem + Send + Sync>,
+    /// The problem's encoding, shared by every trial.
+    encoding: Encoding,
     route: PreparedRoute,
     run: RunPlan,
     reference: Option<f64>,
@@ -551,7 +534,7 @@ impl fmt::Debug for PreparedJob {
             .field(
                 "route",
                 &match self.route {
-                    PreparedRoute::Solver { .. } => "solver",
+                    PreparedRoute::Solver(_) => "solver",
                     PreparedRoute::Batched { .. } => "batched",
                 },
             )
@@ -592,7 +575,7 @@ impl PreparedJob {
     pub fn tile_rows(&self) -> Option<usize> {
         match &self.route {
             PreparedRoute::Batched { tile_rows, .. } => Some(*tile_rows),
-            PreparedRoute::Solver { .. } => None,
+            PreparedRoute::Solver(_) => None,
         }
     }
 
@@ -600,8 +583,8 @@ impl PreparedJob {
     /// block (`None` for solver routes).
     pub fn batch_coupling(&self) -> Option<&CsrCoupling> {
         match &self.route {
-            PreparedRoute::Batched { quadratic, .. } => Some(quadratic.couplings()),
-            PreparedRoute::Solver { .. } => None,
+            PreparedRoute::Batched { .. } => Some(self.encoding.coupling()),
+            PreparedRoute::Solver(_) => None,
         }
     }
 
@@ -610,7 +593,7 @@ impl PreparedJob {
     pub fn crossbar_config(&self) -> Option<&CrossbarConfig> {
         match &self.route {
             PreparedRoute::Batched { config, .. } => Some(config),
-            PreparedRoute::Solver { .. } => None,
+            PreparedRoute::Solver(_) => None,
         }
     }
 
@@ -620,52 +603,40 @@ impl PreparedJob {
     ///
     /// [`SessionError::InvalidRequest`] when `trial` is out of range or
     /// the job is batched (its trials need a grid slot — use
-    /// [`run_batched_trial`](PreparedJob::run_batched_trial));
-    /// [`SessionError::Problem`] when the solve itself fails.
+    /// [`run_batched_trial`](PreparedJob::run_batched_trial)).
     pub fn run_trial(&self, trial: usize) -> Result<SolveReport, SessionError> {
-        if trial >= self.trials() {
-            return Err(invalid(format!(
-                "trial {trial} out of range for {} trials",
-                self.trials()
-            )));
-        }
-        self.run_trial_seeded(self.seed(trial))
-    }
-
-    fn run_trial_seeded(&self, seed: u64) -> Result<SolveReport, SessionError> {
-        match &self.route {
-            PreparedRoute::Solver { solver, model } => {
-                // `Solver::solve` with the (deterministic) encoding
-                // hoisted to prepare time — bit-identical, pinned by the
-                // session equivalence tests.
-                let (mut run, spins) = match &self.initial {
-                    Some(start) => solver.anneal_model_from(model, start, seed),
-                    None => solver.anneal_model(model, seed),
-                };
-                let objective = self.problem.native_objective(&spins);
-                let feasible = self.problem.is_feasible(&spins);
-                let (energy, time) = solver.hardware_report(&mut run, model.dimension());
-                Ok(SolveReport {
-                    kind: solver.kind(),
-                    best_energy: run.best_energy,
-                    objective: Some(objective),
-                    feasible,
-                    best_spins: spins,
-                    energy,
-                    time,
-                    run,
-                })
-            }
-            PreparedRoute::Batched { .. } => Err(invalid(
+        self.check_trial(trial)?;
+        let PreparedRoute::Solver(solver) = &self.route else {
+            return Err(invalid(
                 "batched trials run on a shared grid; use run_batched_trial with a grid handle",
-            )),
-        }
+            ));
+        };
+        let seed = self.seed(trial);
+        Ok(self::trial(
+            self.problem.as_ref(),
+            &self.encoding,
+            self.initial.as_ref(),
+            seed,
+            solver.kind(),
+            // Each trial anneals its own copy of the coupling: the copy
+            // streams it into this core's cache ahead of the anneal
+            // loop's scattered row reads, which measured faster on the
+            // paper-protocol workload than reading the job's copy.
+            |coupling, initial| solver.run_engine(&coupling.clone(), initial, seed),
+            |run| solver.hardware_report(run, self.encoding.model.dimension()),
+        ))
     }
 
     /// Run one trial of a batched-route job as a replica on `handle`'s
     /// shared-grid slot. In Ideal fidelity the report is bit-identical
     /// to the same trial under [`Session::run`], whatever else occupies
-    /// the grid.
+    /// the grid, and to the unbatched tiled device-in-the-loop solve
+    /// with the same seed. In device-accurate fidelity the instance is
+    /// first reseeded from the trial seed, so trial results are a pure
+    /// function of `(request, trial seed)` — invariant to chunking,
+    /// live-grid admission order and scheduler worker count. The
+    /// replica is priced at tile-scale geometry from its own measured
+    /// activity, regardless of who else shares the grid.
     ///
     /// # Errors
     ///
@@ -674,36 +645,61 @@ impl PreparedJob {
     pub fn run_batched_trial(
         &self,
         trial: usize,
-        handle: BatchInstance,
+        mut handle: BatchInstance,
     ) -> Result<SolveReport, SessionError> {
-        if trial >= self.trials() {
-            return Err(invalid(format!(
-                "trial {trial} out of range for {} trials",
-                self.trials()
-            )));
-        }
+        self.check_trial(trial)?;
         let PreparedRoute::Batched {
-            solver,
-            model,
-            quadratic,
-            cost_model,
-            ..
+            solver, cost_model, ..
         } = &self.route
         else {
             return Err(invalid(
                 "solver-route trials run without a grid; use run_trial",
             ));
         };
-        Ok(batched_trial_report(
-            solver.as_ref(),
+        let seed = self.seed(trial);
+        Ok(self::trial(
             self.problem.as_ref(),
-            model,
-            quadratic,
-            cost_model,
-            self.seed(trial),
-            handle,
+            &self.encoding,
             self.initial.as_ref(),
+            seed,
+            solver.kind(),
+            |coupling, initial| {
+                // The write-verify pass a new tenant gets; a no-op with
+                // ideal variation.
+                handle.reseed_for_trial(seed);
+                solver.anneal_batched(coupling, initial, handle, seed)
+            },
+            |run| {
+                let stats = run
+                    .activity
+                    // audit:allow(panic-path): batched trials run only through batched crossbar backends, which always populate `activity`; a None is a backend bug that must abort, not report zero cost
+                    .expect("batched backends always record activity");
+                (
+                    energy_of(&stats, cost_model, ExpUnit::Asic),
+                    time_of(&stats, cost_model, ExpUnit::Asic),
+                )
+            },
         ))
+    }
+
+    fn check_trial(&self, trial: usize) -> Result<(), SessionError> {
+        if trial >= self.trials() {
+            return Err(invalid(format!(
+                "trial {trial} out of range for {} trials",
+                self.trials()
+            )));
+        }
+        Ok(())
+    }
+
+    /// The ensemble plan for trials `first..first + trials` under the
+    /// request's thread cap.
+    fn ensemble(&self, first: usize, trials: usize) -> Ensemble {
+        let ensemble = Ensemble::new(trials, self.seed(first));
+        match self.run.threads() {
+            Some(cap) => ensemble.with_max_threads(cap),
+            None => ensemble,
+        }
     }
 
     /// Normalize and summarize finished trials into the job's

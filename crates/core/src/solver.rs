@@ -14,9 +14,10 @@
 //!    original spins and score it in the native objective;
 //! 5. attach hardware energy/time costs for the architecture.
 //!
-//! Steps 1, 2, 4 and 5 are identical across architectures and live here
-//! as provided methods; implementors supply only the two
-//! architecture-specific hooks [`Solver::run_engine`] (step 3) and
+//! Steps 1, 2, 4 and 5 are identical across architectures and live in
+//! one private trial function that [`Solver::solve`] and every
+//! [`Session`](crate::Session) route call; implementors supply only the
+//! two architecture-specific hooks [`Solver::run_engine`] (step 3) and
 //! [`Solver::hardware_report`] (step 5's costing rule). Experiment
 //! drivers dispatch over `&dyn Solver`, so adding a fourth architecture
 //! never touches them.
@@ -34,7 +35,7 @@ use crate::annealer::SolveReport;
 /// Seed salt applied before drawing the initial configuration, so the
 /// start state and the engine's proposal stream come from decorrelated
 /// streams of the same user seed.
-pub(crate) const INIT_SEED_SALT: u64 = 0xA5A5_5A5A;
+const INIT_SEED_SALT: u64 = 0xA5A5_5A5A;
 
 /// The paper's default coupling quantization (Fig. 6d) — the value a
 /// solver prices when no device backend overrides it.
@@ -70,48 +71,6 @@ pub trait Solver: Send + Sync {
     /// `eˣ` evaluation per iteration) before costing.
     fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport);
 
-    /// Anneal a raw Ising model and return the run plus the best solution
-    /// projected back to the model's original spins.
-    fn anneal_model(&self, model: &IsingModel, seed: u64) -> (RunResult, SpinVector) {
-        let quadratic = model.to_quadratic_only();
-        let coupling = quadratic.couplings();
-        let n = coupling.dimension();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ INIT_SEED_SALT);
-        let initial = SpinVector::random(n, &mut rng);
-        let run = self.run_engine(coupling, initial, seed);
-        let spins = if model.is_quadratic_only() {
-            run.best_spins.clone()
-        } else {
-            model.project_from_quadratic(&run.best_spins)
-        };
-        (run, spins)
-    }
-
-    /// Anneal a raw Ising model from an explicitly supplied start
-    /// configuration in the model's **original** spin space (warm
-    /// start). When the model carries linear fields, the start is
-    /// embedded into the ancilla-augmented quadratic space with the
-    /// ancilla at `+1`, so projecting the result back recovers the
-    /// supplied spins exactly — a zero-iteration engine run returns
-    /// `start` verbatim.
-    fn anneal_model_from(
-        &self,
-        model: &IsingModel,
-        start: &SpinVector,
-        seed: u64,
-    ) -> (RunResult, SpinVector) {
-        let quadratic = model.to_quadratic_only();
-        let coupling = quadratic.couplings();
-        let initial = embed_start(model, start);
-        let run = self.run_engine(coupling, initial, seed);
-        let spins = if model.is_quadratic_only() {
-            run.best_spins.clone()
-        } else {
-            model.project_from_quadratic(&run.best_spins)
-        };
-        (run, spins)
-    }
-
     /// Solve a COP: transform to Ising, anneal, score the best solution
     /// in the problem's native objective and attach hardware costs.
     ///
@@ -119,51 +78,102 @@ pub trait Solver: Send + Sync {
     ///
     /// Propagates encoding errors from the problem's Ising transformation.
     fn solve(&self, problem: &dyn CopProblem, seed: u64) -> Result<SolveReport, IsingError> {
-        let model = problem.to_ising()?;
-        let (mut run, spins) = self.anneal_model(&model, seed);
-        let objective = problem.native_objective(&spins);
-        let feasible = problem.is_feasible(&spins);
-        let (energy, time) = self.hardware_report(&mut run, model.dimension());
-        Ok(SolveReport {
-            kind: self.kind(),
-            best_energy: run.best_energy,
-            objective: Some(objective),
-            feasible,
-            best_spins: spins,
-            energy,
-            time,
-            run,
-        })
+        let encoding = Encoding::of(problem)?;
+        Ok(trial(
+            problem,
+            &encoding,
+            None,
+            seed,
+            self.kind(),
+            |coupling, initial| self.run_engine(coupling, initial, seed),
+            |run| self.hardware_report(run, encoding.model.dimension()),
+        ))
     }
+}
 
-    /// Solve a raw Ising model (no native objective to score against:
-    /// `objective` is `None` and the solution is trivially feasible).
+/// A problem's Ising model plus the quadratic-only form the engines
+/// anneal over, encoded once and shared by every trial of a job.
+pub(crate) struct Encoding {
+    pub(crate) model: IsingModel,
+    /// The ancilla-embedded form of a model with linear fields; `None`
+    /// when the model is already quadratic-only (no second copy).
+    embedded: Option<IsingModel>,
+}
+
+impl Encoding {
+    /// Encode `problem`.
     ///
     /// # Errors
     ///
-    /// Kept fallible for symmetry with [`Solver::solve`]; the provided
-    /// implementation cannot fail.
-    fn solve_model(&self, model: &IsingModel, seed: u64) -> Result<SolveReport, IsingError> {
-        let (mut run, spins) = self.anneal_model(model, seed);
-        let (energy, time) = self.hardware_report(&mut run, model.dimension());
-        Ok(SolveReport {
-            kind: self.kind(),
-            best_energy: run.best_energy,
-            objective: None,
-            feasible: true,
-            best_spins: spins,
-            energy,
-            time,
-            run,
-        })
+    /// Propagates encoding errors from the problem's Ising transformation.
+    pub(crate) fn of(problem: &dyn CopProblem) -> Result<Encoding, IsingError> {
+        let model = problem.to_ising()?;
+        let embedded = (!model.is_quadratic_only()).then(|| model.to_quadratic_only());
+        Ok(Encoding { model, embedded })
+    }
+
+    /// The quadratic coupling the engines anneal over.
+    pub(crate) fn coupling(&self) -> &CsrCoupling {
+        self.embedded.as_ref().unwrap_or(&self.model).couplings()
+    }
+}
+
+/// One trial of `problem` — the pipeline every route runs
+/// ([`Solver::solve`], `PreparedJob::run_trial` and
+/// `PreparedJob::run_batched_trial`):
+///
+/// 1. pick the start: `start` embedded into the quadratic space (warm
+///    start), else a random configuration drawn from `seed ^
+///    INIT_SEED_SALT`;
+/// 2. anneal it with `engine` on the quadratic coupling;
+/// 3. project the best configuration back to the original spins and
+///    score it in the native objective;
+/// 4. attach the hardware energy/time `price` assigns the run.
+pub(crate) fn trial(
+    problem: &dyn CopProblem,
+    encoding: &Encoding,
+    start: Option<&SpinVector>,
+    seed: u64,
+    kind: AnnealerKind,
+    engine: impl FnOnce(&CsrCoupling, SpinVector) -> RunResult,
+    price: impl FnOnce(&mut RunResult) -> (EnergyReport, TimeReport),
+) -> SolveReport {
+    let model = &encoding.model;
+    let coupling = encoding.coupling();
+    let initial = match start {
+        Some(start) => embed_start(model, start),
+        None => {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ INIT_SEED_SALT);
+            SpinVector::random(coupling.dimension(), &mut rng)
+        }
+    };
+    let mut run = engine(coupling, initial);
+    let spins = if model.is_quadratic_only() {
+        run.best_spins.clone()
+    } else {
+        model.project_from_quadratic(&run.best_spins)
+    };
+    let objective = problem.native_objective(&spins);
+    let feasible = problem.is_feasible(&spins);
+    let (energy, time) = price(&mut run);
+    SolveReport {
+        kind,
+        best_energy: run.best_energy,
+        objective: Some(objective),
+        feasible,
+        best_spins: spins,
+        energy,
+        time,
+        run,
     }
 }
 
 /// Embed a start configuration given in `model`'s original spin space
 /// into the quadratic-only space [`Solver::run_engine`] anneals over.
 /// Models with linear fields gain an ancilla spin at index 0, fixed to
-/// `+1` so the gauge projection recovers the original spins unchanged.
-pub(crate) fn embed_start(model: &IsingModel, start: &SpinVector) -> SpinVector {
+/// `+1` so the gauge projection recovers the original spins unchanged —
+/// a zero-iteration run returns `start` verbatim.
+fn embed_start(model: &IsingModel, start: &SpinVector) -> SpinVector {
     assert_eq!(
         start.len(),
         model.dimension(),
@@ -260,16 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_model_reports_no_native_objective() {
-        let problem = ring_problem(8);
-        let model = fecim_ising::CopProblem::to_ising(&problem).unwrap();
-        let report = MesaAnnealer::new(400).solve_model(&model, 2).unwrap();
-        assert_eq!(report.objective, None);
-        assert!(report.feasible);
-        assert!(report.energy.total() > 0.0);
-    }
-
-    #[test]
     fn unencodable_problems_error_instead_of_panicking() {
         use fecim_anneal::Ensemble;
         use fecim_ising::{IsingError, ObjectiveSense};
@@ -314,16 +314,34 @@ mod tests {
         assert!(matches!(err, IsingError::InvalidProblem(_)));
     }
 
+    /// One warm-started trial of `problem` through the shared pipeline.
+    fn warm_trial(
+        solver: &dyn Solver,
+        problem: &dyn CopProblem,
+        start: &SpinVector,
+        seed: u64,
+    ) -> SolveReport {
+        let encoding = Encoding::of(problem).unwrap();
+        trial(
+            problem,
+            &encoding,
+            Some(start),
+            seed,
+            solver.kind(),
+            |coupling, initial| solver.run_engine(coupling, initial, seed),
+            |run| solver.hardware_report(run, encoding.model.dimension()),
+        )
+    }
+
     #[test]
     fn warm_start_zero_iteration_run_returns_start_verbatim() {
         // Quadratic-only model (Max-Cut ring): no ancilla embedding.
         let ring = ring_problem(8);
         let model = fecim_ising::CopProblem::to_ising(&ring).unwrap();
         let start = SpinVector::from_signs(&[1, -1, 1, 1, -1, -1, 1, -1]);
-        let solver = CimAnnealer::new(0);
-        let (run, spins) = solver.anneal_model_from(&model, &start, 7);
-        assert_eq!(spins, start);
-        assert_eq!(run.best_energy, model.energy(&start));
+        let report = warm_trial(&CimAnnealer::new(0), &ring, &start, 7);
+        assert_eq!(report.best_spins, start);
+        assert_eq!(report.run.best_energy, model.energy(&start));
 
         // Model WITH linear fields: the ancilla embedding must project
         // the supplied spins back unchanged, for all three engines.
@@ -340,9 +358,9 @@ mod tests {
             &DirectAnnealer::cim_fpga(0),
             &MesaAnnealer::new(0),
         ] {
-            let (run, spins) = solver.anneal_model_from(&model, &start, 3);
-            assert_eq!(spins, start, "{}", solver.name());
-            assert_eq!(run.iterations, 0, "{}", solver.name());
+            let report = warm_trial(solver, &qubo, &start, 3);
+            assert_eq!(report.best_spins, start, "{}", solver.name());
+            assert_eq!(report.run.iterations, 0, "{}", solver.name());
         }
     }
 
@@ -351,10 +369,9 @@ mod tests {
         let ring = ring_problem(16);
         let model = fecim_ising::CopProblem::to_ising(&ring).unwrap();
         let start = SpinVector::all_up(16); // worst cut: energy 16·J
-        let solver = CimAnnealer::new(300).with_flips(1);
-        let (run, _) = solver.anneal_model_from(&model, &start, 11);
+        let report = warm_trial(&CimAnnealer::new(300).with_flips(1), &ring, &start, 11);
         assert!(
-            run.best_energy <= model.energy(&start),
+            report.run.best_energy <= model.energy(&start),
             "best over a trajectory that includes the start cannot exceed it"
         );
     }

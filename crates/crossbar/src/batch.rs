@@ -18,28 +18,28 @@
 //!   standalone [`TiledCrossbar`] over the same coupling; in
 //!   [`Fidelity::Ideal`](crate::Fidelity::Ideal) mode a batched read is
 //!   bit-identical to the per-instance one-tile array read.
-//! * **Determinism** — [`BatchedTiledCrossbar::read_batch`] fans
-//!   instances out across threads, but instances are independent
-//!   sub-arrays with their own seeds and noise streams, so results do not
-//!   depend on scheduling. In device-accurate mode each instance draws
-//!   its variation maps from a seed derived from the config seed and its
-//!   batch index (distinct replicas see distinct silicon).
+//! * **Determinism** — instances are independent sub-arrays with their
+//!   own seeds and noise streams, so results do not depend on which
+//!   thread drives which instance, or in what order. In device-accurate
+//!   mode each instance draws its variation maps from a seed derived
+//!   from the config seed and its batch index (distinct replicas see
+//!   distinct silicon).
 //! * **Attribution** — activity is recorded per instance (each block
 //!   keeps its own [`ActivityStats`]), so hardware energy is attributable
 //!   to the instance that caused it, while [`BatchStats`] tracks
 //!   grid-level sharing (reads per batch, activated tiles vs. tiles
 //!   available).
 //!
-//! For driving a shared grid from concurrently running solvers (one
-//! replica per thread, as `fecim_anneal::Ensemble` does), clone per-
-//! instance [`BatchInstance`] handles from the shared grid: each handle
-//! implements [`InSituArray`] and serializes *simulator* access through a
-//! mutex while the modeled hardware timing remains concurrent (disjoint
-//! banks).
+//! Concurrency comes from the solvers, not the grid: the grid goes behind
+//! a mutex ([`BatchedTiledCrossbar::into_shared`]), one replica per
+//! thread drives its own instance through a [`BatchInstance`] handle (as
+//! `fecim_anneal::Ensemble::run_batched` hands out), and each handle
+//! implements [`InSituArray`]. Simulator access is serialized per read
+//! while the modeled hardware timing stays concurrent (disjoint banks).
 //!
 //! ## Live grids: per-instance lifecycle
 //!
-//! Lockstep cohorts ([`BatchedTiledCrossbar::replicate`] + run them all)
+//! Fixed cohorts ([`BatchedTiledCrossbar::replicate`] + run them all)
 //! are only half the story: a production queue wants to admit *new*
 //! problems onto the grid as earlier replicas finish. Two methods turn
 //! the batched grid into a live one:
@@ -67,13 +67,11 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use rayon::prelude::*;
-
 use fecim_ising::Coupling;
 
 use crate::array::{CrossbarConfig, InSituArray};
 use crate::stats::ActivityStats;
-use crate::tiled::{SensingMode, TiledCrossbar};
+use crate::tiled::TiledCrossbar;
 
 /// Deterministic per-instance seed: splitmix64 finalizer over the config
 /// seed and the batch slot, so replicas of the same coupling still draw
@@ -109,8 +107,7 @@ struct InstanceSlot {
 /// how well concurrent instances fill the shared grid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Grid cycles issued: one per [`BatchedTiledCrossbar::read_batch`]
-    /// call, one per single-instance read.
+    /// Grid cycles issued: one per instance read.
     pub grid_cycles: u64,
     /// Individual reads executed across all cycles.
     pub reads: u64,
@@ -118,7 +115,8 @@ pub struct BatchStats {
     pub tiles_activated: u64,
     /// Tile slots offered: physical tiles × grid cycles.
     pub tile_slots_offered: u64,
-    /// Largest number of distinct instances served by one grid cycle.
+    /// Largest number of distinct instances served by one grid cycle
+    /// (each cycle serves one instance's read, so 1 once a read ran).
     pub peak_concurrent_instances: usize,
 }
 
@@ -138,28 +136,14 @@ impl BatchStats {
     }
 }
 
-/// One read request inside a [`BatchedTiledCrossbar::read_batch`] cycle.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchRead<'a> {
-    /// Which instance's block to read.
-    pub instance: usize,
-    /// Row drive vector (`σ_r` for incremental reads, `σ` for VMV).
-    pub sigma_r: &'a [i8],
-    /// Column select `σ_c` for an incremental read; `None` runs the
-    /// direct VMV read instead.
-    pub sigma_c: Option<&'a [i8]>,
-    /// Back-gate annealing factor (ignored by VMV reads).
-    pub factor: f64,
-}
-
 /// Several problem instances sharing one physical tile grid.
 ///
 /// See the module docs for the placement and concurrency model. Build
-/// with [`BatchedTiledCrossbar::new`] + [`push_instance`]
+/// with [`BatchedTiledCrossbar::new`] + [`try_admit_instance`]
 /// (heterogeneous problems) or [`replicate`] (an ensemble of one
-/// problem), then read per instance or per batch.
+/// problem), then read per instance.
 ///
-/// [`push_instance`]: BatchedTiledCrossbar::push_instance
+/// [`try_admit_instance`]: BatchedTiledCrossbar::try_admit_instance
 /// [`replicate`]: BatchedTiledCrossbar::replicate
 #[derive(Debug, Clone)]
 pub struct BatchedTiledCrossbar {
@@ -178,7 +162,7 @@ pub struct BatchedTiledCrossbar {
     free_spans: Vec<(usize, usize)>,
     /// Retired slot indices available for reuse.
     free_slots: Vec<usize>,
-    /// Lifetime admissions (push + admit).
+    /// Lifetime admissions.
     admitted: u64,
     /// Lifetime retirements.
     retired: u64,
@@ -186,7 +170,7 @@ pub struct BatchedTiledCrossbar {
 }
 
 impl BatchedTiledCrossbar {
-    /// An empty grid that will place every pushed instance on
+    /// An empty grid that will place every admitted instance on
     /// `tile_rows`-row tiles.
     ///
     /// # Panics
@@ -206,20 +190,6 @@ impl BatchedTiledCrossbar {
             retired: 0,
             batch: BatchStats::default(),
         }
-    }
-
-    /// Program `coupling` onto the next free stripe span and return the
-    /// new instance's index. The instance draws its variation maps from a
-    /// seed derived from the config seed and this index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coupling is empty (forwarded from
-    /// [`TiledCrossbar::program`]).
-    pub fn push_instance<C: Coupling>(&mut self, coupling: &C) -> usize {
-        self.try_admit_instance(coupling, usize::MAX)
-            // audit:allow(panic-path): with a usize::MAX stripe limit admission only fails on an empty coupling — the documented `# Panics` contract above
-            .expect("an unbounded grid always admits")
     }
 
     /// Admit `coupling` onto the grid if it fits within `stripe_limit`
@@ -352,8 +322,8 @@ impl BatchedTiledCrossbar {
         self.total_stripes - self.free_spans.iter().map(|&(_, w)| w).sum::<usize>()
     }
 
-    /// Lifetime admissions ([`push_instance`](Self::push_instance) +
-    /// [`try_admit_instance`](Self::try_admit_instance)).
+    /// Lifetime admissions ([`try_admit_instance`](Self::try_admit_instance),
+    /// including [`replicate`](Self::replicate)'s).
     pub fn admissions(&self) -> u64 {
         self.admitted
     }
@@ -378,14 +348,16 @@ impl BatchedTiledCrossbar {
         assert!(count > 0, "need at least one instance");
         let mut grid = BatchedTiledCrossbar::new(config, tile_rows);
         for _ in 0..count {
-            grid.push_instance(coupling);
+            grid.try_admit_instance(coupling, usize::MAX)
+                // audit:allow(panic-path): with a usize::MAX stripe limit admission cannot run out of stripes; an empty coupling panics inside programming — the documented `# Panics` contract above
+                .expect("an unbounded grid always admits");
         }
         grid
     }
 
     /// Number of instance slots ever allocated (live **and** retired —
     /// retired slot indices stay addressable until an admission recycles
-    /// them). Equals the live count on lockstep grids that never retire;
+    /// them). Equals the live count on grids that never retire;
     /// see [`BatchedTiledCrossbar::live_instances`] for the occupancy
     /// count.
     pub fn instance_count(&self) -> usize {
@@ -435,16 +407,6 @@ impl BatchedTiledCrossbar {
         self.slot(instance).array.stats()
     }
 
-    /// Activity summed over every live instance (retired instances take
-    /// their attribution with them — snapshot before retiring).
-    pub fn aggregate_stats(&self) -> ActivityStats {
-        let mut total = ActivityStats::new();
-        for slot in self.slots.iter().flatten() {
-            total.merge(slot.array.stats());
-        }
-        total
-    }
-
     /// Grid-level sharing counters.
     pub fn batch_stats(&self) -> &BatchStats {
         &self.batch
@@ -490,14 +452,6 @@ impl BatchedTiledCrossbar {
         self.slot_mut(instance).array.reseed(seed);
     }
 
-    /// Set the per-stripe sensing schedule of every live instance (see
-    /// [`SensingMode`]).
-    pub fn set_sensing_mode(&mut self, mode: SensingMode) {
-        for slot in self.slots.iter_mut().flatten() {
-            slot.array.set_sensing_mode(mode);
-        }
-    }
-
     /// In-situ incremental read of one instance's block (see
     /// [`TiledCrossbar::incremental_form`]); the rest of the grid idles
     /// for the cycle.
@@ -513,14 +467,9 @@ impl BatchedTiledCrossbar {
         sigma_c: &[i8],
         factor: f64,
     ) -> f64 {
-        let before = self.slot(instance).array.stats().tiles_activated;
-        let value = self
-            .slot_mut(instance)
-            .array
-            .incremental_form(sigma_r, sigma_c, factor);
-        let after = self.slot(instance).array.stats().tiles_activated;
-        self.account_cycle(1, 1, after - before);
-        value
+        self.read(instance, |array| {
+            array.incremental_form(sigma_r, sigma_c, factor)
+        })
     }
 
     /// Direct VMV read of one instance's block (see
@@ -531,11 +480,7 @@ impl BatchedTiledCrossbar {
     /// Panics if `instance` is out of range or `sigma` has the wrong
     /// length.
     pub fn vmv(&mut self, instance: usize, sigma: &[i8]) -> f64 {
-        let before = self.slot(instance).array.stats().tiles_activated;
-        let value = self.slot_mut(instance).array.vmv(sigma);
-        let after = self.slot(instance).array.stats().tiles_activated;
-        self.account_cycle(1, 1, after - before);
-        value
+        self.read(instance, |array| array.vmv(sigma))
     }
 
     /// Full matrix-vector read of one instance's block (see
@@ -547,106 +492,28 @@ impl BatchedTiledCrossbar {
     /// Panics if `instance` is out of range or `sigma` has the wrong
     /// length.
     pub fn mvm(&mut self, instance: usize, sigma: &[i8]) -> Vec<f64> {
-        let before = self.slot(instance).array.stats().tiles_activated;
-        let value = self.slot_mut(instance).array.mvm(sigma);
-        let after = self.slot(instance).array.stats().tiles_activated;
-        self.account_cycle(1, 1, after - before);
-        value
-    }
-
-    /// Execute one shared grid cycle: every request runs against its
-    /// instance's block, distinct instances in parallel across threads
-    /// (they occupy disjoint stripes, so the hardware converts them
-    /// concurrently). Results come back in request order and are
-    /// bit-identical to issuing the same reads one instance at a time.
-    ///
-    /// Multiple requests against the *same* instance are legal and run
-    /// sequentially in request order (they share stripes, so the hardware
-    /// would serialize them too).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a request names an out-of-range instance or carries
-    /// wrong-length vectors.
-    pub fn read_batch(&mut self, reads: &[BatchRead<'_>]) -> Vec<f64> {
-        for read in reads {
-            assert!(
-                self.is_live(read.instance),
-                "batch read instance {} is retired or out of range for {} instances",
-                read.instance,
-                self.slots.len()
-            );
-        }
-        let mut per_instance: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
-        for (read_idx, read) in reads.iter().enumerate() {
-            per_instance[read.instance].push(read_idx);
-        }
-        let concurrent = per_instance.iter().filter(|ops| !ops.is_empty()).count();
-        let tiles_before: u64 = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|s| s.array.stats().tiles_activated)
-            .sum();
-
-        // Fan out one task per instance touched; tasks own disjoint
-        // `&mut` blocks, so no lock sits anywhere near the sensing loops.
-        let jobs: Vec<(&mut TiledCrossbar, Vec<usize>)> = self
-            .slots
-            .iter_mut()
-            .zip(per_instance)
-            .filter(|(_, ops)| !ops.is_empty())
-            .map(|(slot, ops)| {
-                // audit:allow(panic-path): the filter above keeps only slots with pending ops, and ops are only assigned to live (Some) slots
-                let slot = slot.as_mut().expect("liveness checked above");
-                (&mut slot.array, ops)
-            })
-            .collect();
-        let outcomes: Vec<Vec<(usize, f64)>> = jobs
-            .into_par_iter()
-            .map(|(array, ops)| {
-                ops.into_iter()
-                    .map(|read_idx| {
-                        let read = &reads[read_idx];
-                        let value = match read.sigma_c {
-                            Some(sigma_c) => {
-                                array.incremental_form(read.sigma_r, sigma_c, read.factor)
-                            }
-                            None => array.vmv(read.sigma_r),
-                        };
-                        (read_idx, value)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut results = vec![0.0f64; reads.len()];
-        for (read_idx, value) in outcomes.into_iter().flatten() {
-            results[read_idx] = value;
-        }
-        let tiles_after: u64 = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|s| s.array.stats().tiles_activated)
-            .sum();
-        self.account_cycle(reads.len() as u64, concurrent, tiles_after - tiles_before);
-        results
+        self.read(instance, |array| array.mvm(sigma))
     }
 
     /// Move the grid behind a shared handle for concurrently running
-    /// drivers; pair with [`BatchedTiledCrossbar::handles`].
+    /// drivers, each holding its own [`BatchInstance`].
     pub fn into_shared(self) -> Arc<Mutex<BatchedTiledCrossbar>> {
         Arc::new(Mutex::new(self))
     }
 
-    /// One [`BatchInstance`] handle per instance of a shared grid, in
-    /// instance order.
-    pub fn handles(shared: &Arc<Mutex<BatchedTiledCrossbar>>) -> Vec<BatchInstance> {
-        let count = lock_shared(shared).instance_count();
-        (0..count)
-            .map(|index| BatchInstance::new(Arc::clone(shared), index))
-            .collect()
+    /// One grid cycle: `sense` reads `instance`'s block while the rest of
+    /// the grid idles.
+    fn read<T>(&mut self, instance: usize, sense: impl FnOnce(&mut TiledCrossbar) -> T) -> T {
+        let array = &mut self.slot_mut(instance).array;
+        let before = array.stats().tiles_activated;
+        let value = sense(array);
+        let activated = array.stats().tiles_activated - before;
+        self.batch.grid_cycles += 1;
+        self.batch.reads += 1;
+        self.batch.tiles_activated += activated;
+        self.batch.tile_slots_offered += self.physical_tiles() as u64;
+        self.batch.peak_concurrent_instances = 1;
+        value
     }
 
     fn slot(&self, instance: usize) -> &InstanceSlot {
@@ -671,14 +538,6 @@ impl BatchedTiledCrossbar {
             // audit:allow(panic-path): same documented out-of-range misuse contract as the arm above
             None => panic!("instance {instance} out of range for {count} instances"),
         }
-    }
-
-    fn account_cycle(&mut self, reads: u64, concurrent: usize, tiles_activated: u64) {
-        self.batch.grid_cycles += 1;
-        self.batch.reads += reads;
-        self.batch.tiles_activated += tiles_activated;
-        self.batch.tile_slots_offered += self.physical_tiles() as u64;
-        self.batch.peak_concurrent_instances = self.batch.peak_concurrent_instances.max(concurrent);
     }
 }
 
@@ -741,9 +600,12 @@ impl BatchInstance {
         lock_shared(&self.shared).reseed_instance_for_trial(self.index, trial_seed);
     }
 
-    /// The shared grid behind this handle.
-    pub fn shared(&self) -> &Arc<Mutex<BatchedTiledCrossbar>> {
-        &self.shared
+    /// One read under the grid lock, refreshing the cached stats.
+    fn read<T>(&mut self, sense: impl FnOnce(&mut BatchedTiledCrossbar, usize) -> T) -> T {
+        let mut grid = lock_shared(&self.shared);
+        let value = sense(&mut grid, self.index);
+        self.stats = *grid.instance_stats(self.index);
+        value
     }
 }
 
@@ -753,24 +615,15 @@ impl InSituArray for BatchInstance {
     }
 
     fn incremental_form(&mut self, sigma_r: &[i8], sigma_c: &[i8], factor: f64) -> f64 {
-        let mut grid = lock_shared(&self.shared);
-        let value = grid.incremental_form(self.index, sigma_r, sigma_c, factor);
-        self.stats = *grid.instance_stats(self.index);
-        value
+        self.read(|grid, index| grid.incremental_form(index, sigma_r, sigma_c, factor))
     }
 
     fn vmv(&mut self, sigma: &[i8]) -> f64 {
-        let mut grid = lock_shared(&self.shared);
-        let value = grid.vmv(self.index, sigma);
-        self.stats = *grid.instance_stats(self.index);
-        value
+        self.read(|grid, index| grid.vmv(index, sigma))
     }
 
     fn mvm(&mut self, sigma: &[i8]) -> Vec<f64> {
-        let mut grid = lock_shared(&self.shared);
-        let value = grid.mvm(self.index, sigma);
-        self.stats = *grid.instance_stats(self.index);
-        value
+        self.read(|grid, index| grid.mvm(index, sigma))
     }
 
     fn stats(&self) -> &ActivityStats {
@@ -813,80 +666,26 @@ mod tests {
         let problems = [dense(n, 1), dense(n, 2), dense(n, 3)];
         let mut grid = BatchedTiledCrossbar::new(config(), 7);
         for p in &problems {
-            grid.push_instance(p);
+            grid.try_admit_instance(p, usize::MAX).unwrap();
         }
         let mut rng = StdRng::seed_from_u64(4);
-        let spins: Vec<SpinVector> = (0..3).map(|_| SpinVector::random(n, &mut rng)).collect();
-        let masks: Vec<FlipMask> = (0..3).map(|_| FlipMask::random(2, n, &mut rng)).collect();
-        let flipped: Vec<SpinVector> = spins
-            .iter()
-            .zip(&masks)
-            .map(|(s, m)| s.flipped_by(m))
-            .collect();
-        let rests: Vec<Vec<i8>> = flipped
-            .iter()
-            .zip(&masks)
-            .map(|(s, m)| s.rest_vector(m))
-            .collect();
-        let changed: Vec<Vec<i8>> = flipped
-            .iter()
-            .zip(&masks)
-            .map(|(s, m)| s.changed_vector(m))
-            .collect();
-        let reads: Vec<BatchRead> = (0..3)
-            .map(|i| BatchRead {
-                instance: i,
-                sigma_r: &rests[i],
-                sigma_c: Some(&changed[i]),
-                factor: 0.7,
-            })
-            .collect();
-        let batched = grid.read_batch(&reads);
-        for i in 0..3 {
-            let mut mono = TiledCrossbar::program(&problems[i], config(), n);
-            let expected = mono.incremental_form(&rests[i], &changed[i], 0.7);
-            assert_eq!(batched[i], expected, "instance {i}");
+        for (i, p) in problems.iter().enumerate() {
+            let spins = SpinVector::random(n, &mut rng);
+            let mask = FlipMask::random(2, n, &mut rng);
+            let flipped = spins.flipped_by(&mask);
+            let rest = flipped.rest_vector(&mask);
+            let changed = flipped.changed_vector(&mask);
+            let mut mono = TiledCrossbar::program(p, config(), n);
+            let expected = mono.incremental_form(&rest, &changed, 0.7);
+            assert_eq!(
+                grid.incremental_form(i, &rest, &changed, 0.7),
+                expected,
+                "instance {i}"
+            );
         }
-        assert_eq!(grid.batch_stats().grid_cycles, 1);
+        assert_eq!(grid.batch_stats().grid_cycles, 3);
         assert_eq!(grid.batch_stats().reads, 3);
-        assert_eq!(grid.batch_stats().peak_concurrent_instances, 3);
-    }
-
-    #[test]
-    fn batching_raises_grid_utilization() {
-        let n = 16;
-        let p = dense(n, 5);
-        let mut solo = BatchedTiledCrossbar::replicate(&p, 4, config(), 4);
-        let mut shared = solo.clone();
-        let s = SpinVector::all_up(n);
-        let mask = FlipMask::new(vec![3], n);
-        let s_new = s.flipped_by(&mask);
-        let r = s_new.rest_vector(&mask);
-        let c = s_new.changed_vector(&mask);
-        // Four cycles each serving one instance…
-        for i in 0..4 {
-            let _ = solo.incremental_form(i, &r, &c, 1.0);
-        }
-        // …vs one cycle serving all four.
-        let reads: Vec<BatchRead> = (0..4)
-            .map(|i| BatchRead {
-                instance: i,
-                sigma_r: &r,
-                sigma_c: Some(&c),
-                factor: 1.0,
-            })
-            .collect();
-        let _ = shared.read_batch(&reads);
-        assert_eq!(
-            solo.batch_stats().tiles_activated,
-            shared.batch_stats().tiles_activated
-        );
-        let solo_util = solo.batch_stats().grid_utilization();
-        let shared_util = shared.batch_stats().grid_utilization();
-        assert!(
-            (shared_util / solo_util - 4.0).abs() < 1e-9,
-            "batch of 4 quadruples utilization: {solo_util} vs {shared_util}"
-        );
+        assert_eq!(grid.batch_stats().peak_concurrent_instances, 1);
     }
 
     #[test]
@@ -894,8 +693,8 @@ mod tests {
         let p20 = dense(20, 6);
         let p9 = dense(9, 7);
         let mut grid = BatchedTiledCrossbar::new(config(), 5);
-        grid.push_instance(&p20); // 4 stripes × 4 bands
-        grid.push_instance(&p9); // 2 stripes × 2 bands
+        grid.try_admit_instance(&p20, usize::MAX).unwrap(); // 4 stripes × 4 bands
+        grid.try_admit_instance(&p9, usize::MAX).unwrap(); // 2 stripes × 2 bands
         assert_eq!(grid.instance_count(), 2);
         assert_eq!(grid.stripe_offset(0), 0);
         assert_eq!(grid.stripe_offset(1), 4);
@@ -926,8 +725,8 @@ mod tests {
             },
             6,
         );
-        again.push_instance(&p);
-        again.push_instance(&p);
+        again.try_admit_instance(&p, usize::MAX).unwrap();
+        again.try_admit_instance(&p, usize::MAX).unwrap();
         assert_eq!(a, again.vmv(0, s.as_slice()));
         assert_eq!(b, again.vmv(1, s.as_slice()));
     }
@@ -937,8 +736,9 @@ mod tests {
         let n = 14;
         let p = dense(n, 9);
         let shared = BatchedTiledCrossbar::replicate(&p, 3, config(), 7).into_shared();
-        let mut handles = BatchedTiledCrossbar::handles(&shared);
-        assert_eq!(handles.len(), 3);
+        let mut handles: Vec<BatchInstance> = (0..3)
+            .map(|i| BatchInstance::new(Arc::clone(&shared), i))
+            .collect();
         let s = SpinVector::all_up(n);
         let mut mono = TiledCrossbar::program(&p, config(), n);
         let expected = mono.vmv(s.as_slice());
@@ -952,7 +752,6 @@ mod tests {
         for i in 0..3 {
             assert_eq!(grid.instance_stats(i).array_ops, 1);
         }
-        assert_eq!(grid.aggregate_stats().array_ops, 3);
         assert_eq!(grid.batch_stats().grid_cycles, 3);
     }
 
@@ -965,7 +764,7 @@ mod tests {
         let problems = [dense(n, 41), dense(n, 42)];
         let mut grid = BatchedTiledCrossbar::new(config(), 7);
         for p in &problems {
-            grid.push_instance(p);
+            grid.try_admit_instance(p, usize::MAX).unwrap();
         }
         let mut rng = StdRng::seed_from_u64(43);
         let s = SpinVector::random(n, &mut rng);
@@ -974,11 +773,11 @@ mod tests {
             assert_eq!(grid.mvm(i, s.as_slice()), mono.mvm(s.as_slice()));
         }
         let shared = grid.into_shared();
-        let mut handles = BatchedTiledCrossbar::handles(&shared);
         for (i, p) in problems.iter().enumerate() {
+            let mut handle = BatchInstance::new(Arc::clone(&shared), i);
             let mut mono = TiledCrossbar::program(p, config(), n);
-            assert_eq!(handles[i].mvm(s.as_slice()), mono.mvm(s.as_slice()));
-            assert_eq!(handles[i].stats().array_ops, 2);
+            assert_eq!(handle.mvm(s.as_slice()), mono.mvm(s.as_slice()));
+            assert_eq!(handle.stats().array_ops, 2);
         }
     }
 
@@ -1136,39 +935,5 @@ mod tests {
         let a = grid.try_admit_instance(&p, 4).unwrap();
         grid.retire_instance(a);
         grid.retire_instance(a);
-    }
-
-    #[test]
-    fn same_instance_reads_in_one_batch_stay_ordered() {
-        // Two reads against one instance serialize in request order —
-        // results equal issuing them back to back.
-        let n = 10;
-        let p = dense(n, 11);
-        let mut grid = BatchedTiledCrossbar::replicate(&p, 2, config(), 5);
-        let mut reference = BatchedTiledCrossbar::replicate(&p, 2, config(), 5);
-        let s = SpinVector::all_up(n);
-        let mask = FlipMask::new(vec![2], n);
-        let s_new = s.flipped_by(&mask);
-        let r = s_new.rest_vector(&mask);
-        let c = s_new.changed_vector(&mask);
-        let reads = [
-            BatchRead {
-                instance: 0,
-                sigma_r: &r,
-                sigma_c: Some(&c),
-                factor: 1.0,
-            },
-            BatchRead {
-                instance: 0,
-                sigma_r: s.as_slice(),
-                sigma_c: None,
-                factor: 1.0,
-            },
-        ];
-        let out = grid.read_batch(&reads);
-        let a = reference.incremental_form(0, &r, &c, 1.0);
-        let b = reference.vmv(0, s.as_slice());
-        assert_eq!(out, vec![a, b]);
-        assert_eq!(grid.batch_stats().peak_concurrent_instances, 1);
     }
 }

@@ -40,7 +40,7 @@ mod tiled;
 
 pub use adc::{MuxAssignment, SarAdc};
 pub use array::{CrossbarConfig, Fidelity, InSituArray};
-pub use batch::{BatchInstance, BatchRead, BatchStats, BatchedTiledCrossbar};
+pub use batch::{BatchInstance, BatchStats, BatchedTiledCrossbar};
 pub use parasitics::{ArrayWires, WireParams};
 pub use periphery::{split_input_phases, ShiftAdd, SpinEncoder, TemperatureEncoder};
 pub use quant::QuantizedCoupling;

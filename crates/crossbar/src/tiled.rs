@@ -415,11 +415,6 @@ impl TiledCrossbar {
         self
     }
 
-    /// Set the sensing schedule in place (see [`SensingMode`]).
-    pub fn set_sensing_mode(&mut self, mode: SensingMode) {
-        self.sensing = mode;
-    }
-
     /// The configured sensing schedule.
     pub fn sensing_mode(&self) -> SensingMode {
         self.sensing

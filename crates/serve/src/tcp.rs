@@ -24,6 +24,11 @@
 //!   arrival; its per-round sub-jobs then enter the queue directly
 //!   (each round keeps at most one window-set in flight).
 //!
+//! * a request line longer than [`MAX_LINE_BYTES`], or one that is not
+//!   UTF-8, is answered with a `Failed` line for its synthesized
+//!   `line-N` id; the reader skips to the next newline and the
+//!   connection keeps serving.
+//!
 //! A connection's jobs keep running after the client stops sending;
 //! the server half-closes only after every job submitted on that
 //! connection has been answered. Combined with a journal
@@ -33,7 +38,7 @@
 //! original (dead) connection.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,6 +48,50 @@ use crate::campaign;
 use crate::jsonl::{self, JsonlSummary, RequestLine, ResponseLine};
 use crate::scheduler::{lock, Scheduler, SchedulerConfig};
 use crate::JobHandle;
+
+/// Longest request line a connection accepts, newline excluded. A longer
+/// line is answered `Failed` and skipped without being buffered whole,
+/// so no client can grow a connection's read buffer past this.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// Read the next `\n`-terminated line into `buf` (newline stripped),
+/// keeping at most `limit` bytes. Returns `Ok(None)` at end of stream,
+/// `Ok(Some(true))` for a line that fit and `Ok(Some(false))` for a line
+/// longer than `limit`, which is consumed through its newline and left
+/// out of `buf`.
+fn read_bounded_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    limit: usize,
+) -> io::Result<Option<bool>> {
+    buf.clear();
+    let mut fits = true;
+    let mut started = false;
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(started.then_some(fits));
+        }
+        started = true;
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        if fits && buf.len() + chunk.len() <= limit {
+            buf.extend_from_slice(chunk);
+        } else if fits {
+            fits = false;
+            *buf = Vec::new();
+        }
+        let used = newline.map_or(chunk.len(), |at| at + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            return Ok(Some(fits));
+        }
+    }
+}
 
 /// Configuration of a [`TcpServer`].
 #[derive(Debug, Clone, Default)]
@@ -271,8 +320,31 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
     // One waiter thread per submission delivers its terminal line the
     // moment the job settles — completion order, not submission order.
     let mut waiters: Vec<JoinHandle<()>> = Vec::new();
-    for (line_no, line) in BufReader::new(read_half).lines().enumerate() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    let mut line_no = 0usize;
+    while let Ok(Some(fits)) = read_bounded_line(&mut reader, &mut buf, MAX_LINE_BYTES) {
+        line_no += 1;
+        // Streaming cannot abort the whole stream on one bad line
+        // (peers' jobs are already running): synthesize an id and keep
+        // serving.
+        let fail = |error: String| {
+            send(
+                &writer,
+                &ResponseLine::Failed {
+                    id: format!("line-{line_no}"),
+                    error,
+                },
+            );
+        };
+        if !fits {
+            fail(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+            continue;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            fail("request line is not valid UTF-8".into());
+            continue;
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -280,16 +352,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
         let parsed: RequestLine = match serde_json::from_str(trimmed) {
             Ok(parsed) => parsed,
             Err(e) => {
-                // Streaming cannot abort the whole stream on one bad
-                // line (peers' jobs are already running): synthesize an
-                // id and keep serving.
-                send(
-                    &writer,
-                    &ResponseLine::Failed {
-                        id: format!("line-{}", line_no + 1),
-                        error: format!("unparsable request line: {e}"),
-                    },
-                );
+                fail(format!("unparsable request line: {e}"));
                 continue;
             }
         };
@@ -500,4 +563,38 @@ pub fn drive(
         .join()
         .map_err(|_| std::io::Error::other("request sender thread panicked"))??;
     Ok(received)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bounded_reader_skips_over_long_lines_and_resynchronizes() {
+        // A 1-byte buffer forces every line across many `fill_buf` calls.
+        let input: &[u8] = b"abcd\nabcde\n\nxy";
+        let mut reader = BufReader::with_capacity(1, input);
+        let mut buf = Vec::new();
+        let mut next = || {
+            let fits = read_bounded_line(&mut reader, &mut buf, 4).unwrap();
+            (fits, String::from_utf8(buf.clone()).unwrap())
+        };
+        assert_eq!(
+            next(),
+            (Some(true), "abcd".into()),
+            "exactly the limit fits"
+        );
+        assert_eq!(
+            next(),
+            (Some(false), String::new()),
+            "one byte over does not"
+        );
+        assert_eq!(next(), (Some(true), String::new()));
+        assert_eq!(
+            next(),
+            (Some(true), "xy".into()),
+            "last line needs no newline"
+        );
+        assert_eq!(next(), (None, String::new()));
+    }
 }

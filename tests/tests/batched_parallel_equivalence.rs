@@ -30,9 +30,7 @@ use fecim::{
     BackendPlan, CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, SolveResponse,
     SolverSpec,
 };
-use fecim_crossbar::{
-    BatchRead, BatchedTiledCrossbar, CrossbarConfig, Fidelity, SensingMode, TiledCrossbar,
-};
+use fecim_crossbar::{BatchedTiledCrossbar, CrossbarConfig, Fidelity, SensingMode, TiledCrossbar};
 use fecim_device::VariationConfig;
 use fecim_ising::{CsrCoupling, FlipMask, SpinVector};
 use fecim_tests::IdealReference;
@@ -152,12 +150,13 @@ proptest! {
         }
     }
 
-    /// Batched multi-instance reads match per-instance reference reads
-    /// in Ideal fidelity, whatever the thread count driving the batch.
+    /// Reads of every instance of a shared grid match the reference
+    /// reads in Ideal fidelity, whatever the thread count sensing them.
     #[test]
     fn batched_reads_match_monolithic_reads(
         (n, triplets) in coupling_strategy(32),
         seed in 0u64..1000,
+        flips in 1usize..6,
     ) {
         let env = EnvGuard::acquire();
         let coupling = CsrCoupling::from_triplets(n, &triplets).unwrap();
@@ -166,8 +165,18 @@ proptest! {
         let instances = 3usize;
         let spins: Vec<SpinVector> =
             (0..instances).map(|_| SpinVector::random(n, &mut rng)).collect();
+        let masks: Vec<FlipMask> =
+            (0..instances).map(|_| FlipMask::random(flips.min(n), n, &mut rng)).collect();
+        let flipped: Vec<SpinVector> =
+            spins.iter().zip(&masks).map(|(s, m)| s.flipped_by(m)).collect();
         let reference = IdealReference::program(&coupling, &CrossbarConfig::paper_defaults());
-        let expected: Vec<f64> = spins.iter().map(|s| reference.vmv(s.as_slice())).collect();
+        let expected: Vec<(f64, f64)> = (0..instances)
+            .map(|i| {
+                let r = flipped[i].rest_vector(&masks[i]);
+                let c = flipped[i].changed_vector(&masks[i]);
+                (reference.vmv(spins[i].as_slice()), reference.incremental_form(&r, &c, 0.41))
+            })
+            .collect();
 
         for threads in ["1", "8"] {
             env.set_threads(threads);
@@ -177,15 +186,13 @@ proptest! {
                 CrossbarConfig::paper_defaults(),
                 (n / 2).max(1),
             );
-            let reads: Vec<BatchRead> = (0..instances)
-                .map(|i| BatchRead {
-                    instance: i,
-                    sigma_r: spins[i].as_slice(),
-                    sigma_c: None,
-                    factor: 1.0,
+            let got: Vec<(f64, f64)> = (0..instances)
+                .map(|i| {
+                    let r = flipped[i].rest_vector(&masks[i]);
+                    let c = flipped[i].changed_vector(&masks[i]);
+                    (grid.vmv(i, spins[i].as_slice()), grid.incremental_form(i, &r, &c, 0.41))
                 })
                 .collect();
-            let got = grid.read_batch(&reads);
             prop_assert_eq!(
                 &got, &expected,
                 "batched reads drifted at RAYON_NUM_THREADS={}", threads

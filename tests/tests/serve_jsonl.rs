@@ -281,6 +281,38 @@ fn nesting_bomb_line_is_a_parse_error_not_a_crash() {
 }
 
 #[test]
+fn surrogate_pair_escaped_ids_come_back_as_the_same_character() {
+    // Python's default `json.dumps` escapes a non-BMP character as a
+    // UTF-16 surrogate pair; the server must echo the id the client
+    // meant, not two replacement characters.
+    let line = serde_json::to_string(&RequestLine::Submit {
+        id: "job-EMOJI".into(),
+        request: ring_request(8, 100),
+        options: SubmitOptions::default(),
+    })
+    .unwrap()
+    .replace("EMOJI", "\\ud83d\\ude00");
+    assert!(line.contains(r#""job-\ud83d\ude00""#), "{line}");
+    let mut output = Vec::new();
+    let summary = run_jsonl(
+        BufReader::new(format!("{line}\n").as_bytes()),
+        &mut output,
+        SchedulerConfig::workers(1),
+    )
+    .expect("stream serves");
+    assert_eq!(summary.completed, 1);
+    assert!(String::from_utf8(output.clone())
+        .unwrap()
+        .contains("\"job-\u{1F600}\""));
+    let responses = check_responses(BufReader::new(output.as_slice())).expect("responses parse");
+    assert!(
+        matches!(&responses[0], ResponseLine::Completed { id, .. } if id == "job-\u{1F600}"),
+        "got {:?}",
+        responses[0]
+    );
+}
+
+#[test]
 fn invalid_requests_inside_valid_lines_fail_their_own_job() {
     // A structurally valid line whose *request* is rejected at prepare
     // time (non-square Q): the stream keeps serving.

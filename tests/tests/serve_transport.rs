@@ -379,6 +379,61 @@ fn tcp_connection_survives_a_nesting_bomb() {
     server.shutdown();
 }
 
+/// Send `bad` as one line on a fresh connection, expect `Failed{line-1}`
+/// whose error contains `expected`, then a `Submit` on the same
+/// connection must complete.
+fn assert_connection_survives(bad: &[u8], expected: &str) {
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        TcpServerConfig {
+            scheduler: SchedulerConfig::workers(1),
+            max_open_jobs: None,
+        },
+    )
+    .expect("server binds");
+    let stream = TcpStream::connect(server.local_addr()).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut recv = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("recv");
+        serde_json::from_str::<ResponseLine>(line.trim()).expect("response parses")
+    };
+    let submit = RequestLine::Submit {
+        id: "after".into(),
+        request: ensemble(8, 100, 1, 3),
+        options: SubmitOptions::default(),
+    };
+    writer.write_all(bad).expect("send bad line");
+    writeln!(writer, "\n{}", json(&submit)).expect("send submit");
+    writer.flush().expect("flush");
+    match recv() {
+        ResponseLine::Failed { id, error } => {
+            assert_eq!(id, "line-1");
+            assert!(error.contains(expected), "{error}");
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    assert!(matches!(recv(), ResponseLine::Completed { id, .. } if id == "after"));
+    drop(writer);
+    server.shutdown();
+}
+
+#[test]
+fn tcp_connection_survives_an_invalid_utf8_line() {
+    // A stray non-UTF-8 byte fails its own line instead of silently
+    // ending the connection's reader.
+    assert_connection_survives(b"{\"Status\":{\"id\":\"\xff\"}}", "not valid UTF-8");
+}
+
+#[test]
+fn tcp_connection_survives_a_line_over_the_length_limit() {
+    // One byte past the limit: the reader answers the line without
+    // buffering it whole and resynchronizes at its newline.
+    let long = vec![b' '; fecim_serve::tcp::MAX_LINE_BYTES + 1];
+    assert_connection_survives(&long, "exceeds");
+}
+
 #[test]
 fn duplicate_ids_are_rejected_across_connections() {
     // Ids key the journal (and the recover subcommand's output), so
