@@ -175,6 +175,11 @@ pub(crate) struct Job {
     pub(crate) cancel_flag: AtomicBool,
 }
 
+/// Called once, by `Core::finalize`, with a job's terminal outcome. It
+/// runs under the job's state lock, so it must not block, do i/o or
+/// take a lock.
+pub(crate) type FinalizeHook = Box<dyn FnOnce(&Result<SolveResponse, SchedulerError>) + Send>;
+
 pub(crate) struct JobState {
     pub(crate) status: JobStatus,
     pub(crate) prepared: Option<Arc<PreparedJob>>,
@@ -193,10 +198,17 @@ pub(crate) struct JobState {
     pub(crate) finished_event: Option<u64>,
     /// Terminal outcome; present exactly when `status.is_terminal()`.
     pub(crate) outcome: Option<Result<SolveResponse, SchedulerError>>,
+    /// Taken and called by finalization.
+    pub(crate) on_finalize: Option<FinalizeHook>,
 }
 
 impl Job {
-    pub(crate) fn new(id: u64, request: SolveRequest, options: SubmitOptions) -> Job {
+    pub(crate) fn new(
+        id: u64,
+        request: SolveRequest,
+        options: SubmitOptions,
+        on_finalize: Option<FinalizeHook>,
+    ) -> Job {
         let total = request.run.trials();
         Job {
             id,
@@ -219,6 +231,7 @@ impl Job {
                 started_event: None,
                 finished_event: None,
                 outcome: None,
+                on_finalize,
             }),
             done_cv: Condvar::new(),
             cancel_flag: AtomicBool::new(false),

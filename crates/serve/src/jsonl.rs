@@ -54,7 +54,7 @@
 //!
 //! [`JobHandle::wait`]: crate::JobHandle::wait
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
 
 use serde::{Deserialize, Serialize};
@@ -63,6 +63,7 @@ use fecim::{SolveRequest, SolveResponse};
 
 use crate::campaign::{run_campaign, CampaignOutcome, CampaignSpec};
 use crate::job::{JobProgress, JobStatus, SchedulerError, SubmitOptions};
+use crate::line::{read_bounded_line, MAX_LINE_BYTES};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 
 /// One input line of the JSONL protocol.
@@ -278,11 +279,12 @@ pub struct JsonlSummary {
 /// # Errors
 ///
 /// [`JsonlError::Io`] on read/write failures and [`JsonlError::Parse`]
-/// when an input line is not valid protocol JSON (malformed *requests*
-/// inside a valid line are per-job failures, reported on the job's
-/// response line instead).
+/// when an input line is not valid protocol JSON, is not UTF-8, or is
+/// longer than [`tcp::MAX_LINE_BYTES`](crate::tcp::MAX_LINE_BYTES)
+/// (malformed *requests* inside a valid line are per-job failures,
+/// reported on the job's response line instead).
 pub fn run_jsonl(
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     config: SchedulerConfig,
 ) -> Result<JsonlSummary, JsonlError> {
@@ -299,25 +301,39 @@ pub fn run_jsonl(
     // non-deterministically with a running one.
     let mut campaigns: Vec<(String, Option<(CampaignSpec, SubmitOptions)>)> = Vec::new();
     let mut cancels: Vec<String> = Vec::new();
-    for (line_no, line) in input.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
+    // Every job and campaign id seen so far, for the duplicate check.
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut buf = Vec::new();
+    let mut line_no = 0usize;
+    // Stdin aborts on the first unparsable line, so an over-long or
+    // non-UTF-8 line ends the stream the same way — after at most
+    // `MAX_LINE_BYTES` of it were buffered.
+    while let Some(fits) = read_bounded_line(&mut input, &mut buf, MAX_LINE_BYTES)? {
+        line_no += 1;
+        let parse_error = |message: String| JsonlError::Parse {
+            line: line_no,
+            message,
+        };
+        if !fits {
+            return Err(parse_error(format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes"
+            )));
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|_| parse_error("request line is not valid UTF-8".into()))?
+            .trim();
         if line.is_empty() {
             continue;
         }
-        let parsed: RequestLine = serde_json::from_str(line).map_err(|e| JsonlError::Parse {
-            line: line_no + 1,
-            message: e.to_string(),
-        })?;
+        let parsed: RequestLine =
+            serde_json::from_str(line).map_err(|e| parse_error(e.to_string()))?;
         match parsed {
             RequestLine::Submit {
                 id,
                 request,
                 options,
             } => {
-                if jobs.iter().any(|(existing, _)| existing == &id)
-                    || campaigns.iter().any(|(existing, _)| existing == &id)
-                {
+                if !seen.insert(id.clone()) {
                     // Answered by a `Failed` line in submission order.
                     jobs.push((id, None));
                     continue;
@@ -326,9 +342,7 @@ pub fn run_jsonl(
                 jobs.push((id, Some(handle)));
             }
             RequestLine::Campaign { id, spec, options } => {
-                if jobs.iter().any(|(existing, _)| existing == &id)
-                    || campaigns.iter().any(|(existing, _)| existing == &id)
-                {
+                if !seen.insert(id.clone()) {
                     campaigns.push((id, None));
                     continue;
                 }

@@ -49,7 +49,8 @@
 //!   staged on a paused scheduler, responses come back in submission
 //!   order ([`run_jsonl`]).
 //! * **Streaming TCP** — `fecim-serve serve --listen ADDR`: a
-//!   thread-per-connection [`TcpServer`] executes jobs as they arrive
+//!   [`TcpServer`] with a reader and a writer thread per connection
+//!   executes jobs as they arrive
 //!   and emits responses as jobs finish (tagged by id, not submission
 //!   order), answers `Status`/`Progress` queries live, and pushes back
 //!   with `Rejected` lines once `open_jobs` reaches a configurable hard
@@ -71,6 +72,7 @@ mod grid;
 mod job;
 pub mod journal;
 pub mod jsonl;
+mod line;
 mod scheduler;
 pub mod tcp;
 

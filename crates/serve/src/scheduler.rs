@@ -55,7 +55,9 @@ use fecim::{PreparedJob, Session, SessionError, SolveReport, SolveRequest};
 use fecim_crossbar::CrossbarConfig;
 
 use crate::grid::{Admission, GridPool, LiveGridStats};
-use crate::job::{Job, JobHandle, JobState, JobStatus, SchedulerError, SubmitOptions};
+use crate::job::{
+    FinalizeHook, Job, JobHandle, JobState, JobStatus, SchedulerError, SubmitOptions,
+};
 use crate::journal::{self, Journal, JournalError, JournalRecord, RecoveredJob};
 
 /// Lock a mutex, surviving peers that panicked while holding it (jobs
@@ -213,9 +215,11 @@ impl Core {
     }
 
     /// Finalize under the job's state lock: record the outcome, stamp
-    /// the event ordinal, wake waiters, and release the job's slot in
-    /// the open-job count. (Lock order: `job.state` may be held while
-    /// taking `queue`, never the reverse.)
+    /// the event ordinal, wake waiters, release the job's slot in the
+    /// open-job count, and last call the job's completion hook, if any
+    /// (after the release, so a client that reacts to the hook's line
+    /// already sees the freed slot). (Lock order: `job.state` may be
+    /// held while taking `queue`, never the reverse.)
     fn finalize(
         &self,
         job: &Job,
@@ -241,6 +245,9 @@ impl Core {
         drop(q);
         lock(&self.jobs).remove(&job.id);
         self.work_cv.notify_all();
+        if let (Some(hook), Some(outcome)) = (st.on_finalize.take(), &st.outcome) {
+            hook(outcome);
+        }
     }
 
     fn journal(&self, record: &JournalRecord) {
@@ -650,6 +657,19 @@ impl Scheduler {
         request: SolveRequest,
         options: SubmitOptions,
     ) -> JobHandle {
+        self.submit_hooked(name, request, options, None)
+    }
+
+    /// [`Scheduler::submit_named`] with a completion hook, installed
+    /// before the job becomes runnable so it cannot miss the
+    /// finalization; jobs a scheduler drop aborts fire it too.
+    pub(crate) fn submit_hooked(
+        &self,
+        name: Option<&str>,
+        request: SolveRequest,
+        options: SubmitOptions,
+        on_finalize: Option<FinalizeHook>,
+    ) -> JobHandle {
         let id = self.core.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         // Journal before the job becomes runnable: a crash right after
         // the client learns its id must still replay the job.
@@ -661,7 +681,7 @@ impl Scheduler {
                 options: options.clone(),
             });
         }
-        let job = Arc::new(Job::new(id, request, options));
+        let job = Arc::new(Job::new(id, request, options, on_finalize));
         lock(&self.core.jobs).insert(id, Arc::clone(&job));
         let mut q = lock(&self.core.queue);
         q.open_jobs += 1;

@@ -1,9 +1,17 @@
 //! The streaming TCP transport: the [`jsonl`] protocol
 //! over a real wire (`fecim-serve serve --listen ADDR`).
 //!
-//! One OS thread per connection reads [`RequestLine`]s as they arrive
-//! and executes them against a scheduler shared by every connection.
-//! Unlike the staged stdin transport, execution is *live*:
+//! Each connection has two OS threads. The *reader* parses
+//! [`RequestLine`]s as they arrive and executes them against a
+//! scheduler shared by every connection. The *writer* owns the socket's
+//! write side and drains a channel of [`ResponseLine`]s: it blocks for
+//! the next line, serializes every line already queued behind it, and
+//! sends the whole batch, newline-terminated, with one `write_all`.
+//! Accepted sockets set `TCP_NODELAY`, so a batch leaves at once instead
+//! of waiting in Nagle's buffer for the client's next packet. Terminal
+//! lines are queued by a completion hook the scheduler fires when the
+//! job finalizes, so no thread waits per job. Unlike the staged stdin
+//! transport, execution is *live*:
 //!
 //! * terminal [`ResponseLine`]s are emitted **as jobs finish**, tagged
 //!   by id, not in submission order;
@@ -30,68 +38,32 @@
 //!   connection keeps serving.
 //!
 //! A connection's jobs keep running after the client stops sending;
-//! the server half-closes only after every job submitted on that
-//! connection has been answered. Combined with a journal
+//! the server half-closes only after every job and campaign submitted
+//! on that connection has been answered: the writer exits once the
+//! reader (at end of input), every job's completion hook and every
+//! campaign thread have dropped their ends of the channel. A failed
+//! write means the peer is gone: the writer stops, later lines are
+//! dropped, and the jobs keep running. Combined with a journal
 //! ([`SchedulerConfig::with_journal`]), a crashed server replays
 //! unfinished jobs on restart — deterministic seeds make the replayed
 //! responses bit-identical, they just can no longer be delivered to the
 //! original (dead) connection.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::campaign;
+use crate::job::FinalizeHook;
 use crate::jsonl::{self, JsonlSummary, RequestLine, ResponseLine};
+use crate::line::read_bounded_line;
+pub use crate::line::MAX_LINE_BYTES;
 use crate::scheduler::{lock, Scheduler, SchedulerConfig};
 use crate::JobHandle;
-
-/// Longest request line a connection accepts, newline excluded. A longer
-/// line is answered `Failed` and skipped without being buffered whole,
-/// so no client can grow a connection's read buffer past this.
-pub const MAX_LINE_BYTES: usize = 64 << 20;
-
-/// Read the next `\n`-terminated line into `buf` (newline stripped),
-/// keeping at most `limit` bytes. Returns `Ok(None)` at end of stream,
-/// `Ok(Some(true))` for a line that fit and `Ok(Some(false))` for a line
-/// longer than `limit`, which is consumed through its newline and left
-/// out of `buf`.
-fn read_bounded_line(
-    reader: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-    limit: usize,
-) -> io::Result<Option<bool>> {
-    buf.clear();
-    let mut fits = true;
-    let mut started = false;
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(available) => available,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Ok(started.then_some(fits));
-        }
-        started = true;
-        let newline = available.iter().position(|&b| b == b'\n');
-        let chunk = &available[..newline.unwrap_or(available.len())];
-        if fits && buf.len() + chunk.len() <= limit {
-            buf.extend_from_slice(chunk);
-        } else if fits {
-            fits = false;
-            *buf = Vec::new();
-        }
-        let used = newline.map_or(chunk.len(), |at| at + 1);
-        reader.consume(used);
-        if newline.is_some() {
-            return Ok(Some(fits));
-        }
-    }
-}
 
 /// Configuration of a [`TcpServer`].
 #[derive(Debug, Clone, Default)]
@@ -127,8 +99,8 @@ struct Shared {
     submitted: Mutex<HashSet<String>>,
 }
 
-/// A running TCP front-end: an accept loop plus one thread per
-/// connection, all sharing one [`Scheduler`].
+/// A running TCP front-end: an accept loop plus a reader and a writer
+/// thread per connection, all sharing one [`Scheduler`].
 ///
 /// ```no_run
 /// use fecim_serve::{TcpServer, TcpServerConfig};
@@ -248,9 +220,9 @@ impl TcpServer {
         }
         // The accept loop has exited, so the socket list is final.
         // Half-close each read side: readers blocked on clients that
-        // never half-closed see EOF and fall through to the waiter
-        // joins, which still deliver every in-flight job's response
-        // over the (untouched) write sides.
+        // never half-closed see EOF and wait for their writers, which
+        // still deliver every in-flight job's response over the
+        // (untouched) write sides.
         for sock in lock(&self.shared.socks).values() {
             let _ = sock.shutdown(Shutdown::Read);
         }
@@ -296,30 +268,99 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
     }
 }
 
-/// Serialize and send one line; a failed write means the peer is gone,
-/// which is not the server's problem — jobs keep running (and, with a
-/// journal, stay replayable).
-fn send(writer: &Arc<Mutex<TcpStream>>, line: &ResponseLine) {
-    // audit:allow(panic-path): ResponseLine is plain structs/enums with string keys throughout, so serialization is infallible by construction
-    let json = serde_json::to_string(line).expect("response lines serialize");
-    let mut stream = lock(writer);
-    let _ = writeln!(stream, "{json}").and_then(|()| stream.flush());
+/// The connection's writer, which owns the socket's write side: block
+/// for the next line, serialize it and every line already queued behind
+/// it, and send the batch with one `write_all`. Returns once every
+/// sender is gone, or when a write fails: the peer is gone, which is not
+/// the server's problem — jobs keep running (and, with a journal, stay
+/// replayable), and dropping `lines` makes later sends fail quietly.
+fn write_batches<W: Write>(mut out: W, lines: Receiver<ResponseLine>) {
+    let mut batch = Vec::new();
+    while let Ok(first) = lines.recv() {
+        batch.clear();
+        for line in std::iter::once(first).chain(lines.try_iter()) {
+            // audit:allow(panic-path): ResponseLine is plain structs/enums with string keys throughout, so serialization is infallible by construction
+            let json = serde_json::to_string(&line).expect("response lines serialize");
+            batch.extend_from_slice(json.as_bytes());
+            batch.push(b'\n');
+        }
+        if out.write_all(&batch).and_then(|()| out.flush()).is_err() {
+            return;
+        }
+    }
+}
+
+/// Server-wide duplicate and admission check of a `Submit` or
+/// `Campaign` line. A duplicate id on a DIFFERENT connection is as much
+/// a duplicate as one on this connection (ids key the journal). A
+/// refused line is answered through `tx` and yields `None`; otherwise
+/// the `submitted` guard comes back, and the caller submits and records
+/// the id before releasing it, which makes `max_open_jobs` a hard limit
+/// — N racing connections cannot each pass the check and overshoot.
+fn admit<'a>(
+    shared: &'a Shared,
+    id: &str,
+    tx: &Sender<ResponseLine>,
+) -> Option<MutexGuard<'a, HashSet<String>>> {
+    let submitted = lock(&shared.submitted);
+    let refusal = if submitted.contains(id) {
+        ResponseLine::Failed {
+            error: format!("duplicate submission id `{id}`"),
+            id: id.to_string(),
+        }
+    } else {
+        let Some(limit) = shared.max_open_jobs else {
+            return Some(submitted);
+        };
+        let open_jobs = shared.scheduler.open_jobs();
+        if open_jobs < limit {
+            return Some(submitted);
+        }
+        // Backpressure: the id never enters the queue (or the
+        // registries — the client may retry it).
+        ResponseLine::Rejected {
+            id: id.to_string(),
+            open_jobs,
+            limit,
+        }
+    };
+    drop(submitted);
+    let _ = tx.send(refusal);
+    None
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
+    serve_connection(stream, shared);
+    // Drop the shutdown registry's clone as well, so the last fd closes
+    // here and the peer sees EOF now, not at server shutdown.
+    lock(&shared.socks).remove(&conn_id);
+}
+
+fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    // Every batch is one write; without this, Nagle would hold it until
+    // the client's next packet ACKs the previous one.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(Mutex::new(stream));
+    let (tx, rx) = mpsc::channel::<ResponseLine>();
+    let Ok(writer) = std::thread::Builder::new()
+        .name("fecim-serve-writer".into())
+        .spawn(move || write_batches(stream, rx))
+    else {
+        return;
+    };
+    // A send fails only once the writer has stopped on a dead peer.
+    let send = |line: ResponseLine| {
+        let _ = tx.send(line);
+    };
     // Handles for ids this connection submitted, kept for the
     // connection's lifetime so queries keep working after a job
     // finishes. Duplicate detection is server-wide (`Shared::submitted`);
     // `Cancel`/`Status`/`Progress` remain scoped to the submitting
     // connection, which is the only place the handle lives.
     let mut registry: HashMap<String, JobHandle> = HashMap::new();
-    // One waiter thread per submission delivers its terminal line the
-    // moment the job settles — completion order, not submission order.
-    let mut waiters: Vec<JoinHandle<()>> = Vec::new();
+    let mut campaigns: Vec<JoinHandle<()>> = Vec::new();
     let mut reader = BufReader::new(read_half);
     let mut buf = Vec::new();
     let mut line_no = 0usize;
@@ -329,13 +370,10 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
         // (peers' jobs are already running): synthesize an id and keep
         // serving.
         let fail = |error: String| {
-            send(
-                &writer,
-                &ResponseLine::Failed {
-                    id: format!("line-{line_no}"),
-                    error,
-                },
-            );
+            send(ResponseLine::Failed {
+                id: format!("line-{line_no}"),
+                error,
+            });
         };
         if !fits {
             fail(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
@@ -362,95 +400,36 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
                 request,
                 options,
             } => {
-                // Duplicate detection and admission both run under the
-                // server-wide `submitted` lock: a duplicate id on a
-                // DIFFERENT connection is as much a duplicate as one on
-                // this connection (ids key the journal), and holding
-                // the lock across the check and the submit makes
-                // `max_open_jobs` a hard limit — N racing connections
-                // cannot each pass the check and overshoot.
-                let mut submitted = lock(&shared.submitted);
-                if submitted.contains(&id) {
-                    drop(submitted);
-                    send(
-                        &writer,
-                        &ResponseLine::Failed {
-                            error: format!("duplicate submission id `{id}`"),
-                            id,
-                        },
-                    );
+                let Some(mut submitted) = admit(shared, &id, &tx) else {
                     continue;
-                }
-                if let Some(limit) = shared.max_open_jobs {
-                    let open_jobs = shared.scheduler.open_jobs();
-                    if open_jobs >= limit {
-                        drop(submitted);
-                        // Backpressure: the id never enters the queue
-                        // (or the registries — the client may retry it).
-                        send(
-                            &writer,
-                            &ResponseLine::Rejected {
-                                id,
-                                open_jobs,
-                                limit,
-                            },
-                        );
-                        continue;
-                    }
-                }
-                let handle = shared.scheduler.submit_named(Some(&id), request, options);
+                };
+                // The terminal line is queued the moment the job
+                // settles — completion order, not submission order.
+                let tx = tx.clone();
+                let line_id = id.clone();
+                let on_finalize: FinalizeHook = Box::new(move |outcome| {
+                    let mut tally = JsonlSummary::default();
+                    let _ = tx.send(jsonl::terminal_line(line_id, outcome.clone(), &mut tally));
+                });
+                let handle =
+                    shared
+                        .scheduler
+                        .submit_hooked(Some(&id), request, options, Some(on_finalize));
                 submitted.insert(id.clone());
                 drop(submitted);
-                registry.insert(id.clone(), handle.clone());
-                let writer = Arc::clone(&writer);
-                waiters.push(
-                    std::thread::Builder::new()
-                        .name("fecim-serve-waiter".into())
-                        .spawn(move || {
-                            let outcome = handle.wait();
-                            let mut tally = JsonlSummary::default();
-                            send(&writer, &jsonl::terminal_line(id, outcome, &mut tally));
-                        })
-                        // audit:allow(panic-path): thread spawn fails only on OS resource exhaustion; the job is already submitted and journaled, so limping on without a waiter would silently swallow its terminal line
-                        .expect("spawn waiter thread"),
-                );
+                registry.insert(id, handle);
             }
+            // The id is burned even though campaigns have no handle
+            // (they cannot be cancelled or queried).
             RequestLine::Campaign { id, spec, options } => {
-                // Same server-wide duplicate + admission discipline as
-                // `Submit`; the id is burned even though campaigns have
-                // no handle (they cannot be cancelled or queried).
-                let mut submitted = lock(&shared.submitted);
-                if submitted.contains(&id) {
-                    drop(submitted);
-                    send(
-                        &writer,
-                        &ResponseLine::Failed {
-                            error: format!("duplicate submission id `{id}`"),
-                            id,
-                        },
-                    );
+                let Some(mut submitted) = admit(shared, &id, &tx) else {
                     continue;
-                }
-                if let Some(limit) = shared.max_open_jobs {
-                    let open_jobs = shared.scheduler.open_jobs();
-                    if open_jobs >= limit {
-                        drop(submitted);
-                        send(
-                            &writer,
-                            &ResponseLine::Rejected {
-                                id,
-                                open_jobs,
-                                limit,
-                            },
-                        );
-                        continue;
-                    }
-                }
+                };
                 submitted.insert(id.clone());
                 drop(submitted);
-                let writer = Arc::clone(&writer);
+                let tx = tx.clone();
                 let shared = Arc::clone(shared);
-                waiters.push(
+                campaigns.push(
                     std::thread::Builder::new()
                         .name("fecim-serve-campaign".into())
                         .spawn(move || {
@@ -462,7 +441,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
                                         error: e.to_string(),
                                     },
                                 };
-                            send(&writer, &response);
+                            let _ = tx.send(response);
                         })
                         // audit:allow(panic-path): thread spawn fails only on OS resource exhaustion; the id is already burned in `submitted`, so limping on would silently swallow the campaign's response
                         .expect("spawn campaign thread"),
@@ -474,51 +453,42 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
                 Some(handle) => {
                     handle.cancel();
                 }
-                None => send(
-                    &writer,
-                    &ResponseLine::Failed {
-                        error: format!("cancel for unknown id `{id}`"),
-                        id,
-                    },
-                ),
+                None => send(ResponseLine::Failed {
+                    error: format!("cancel for unknown id `{id}`"),
+                    id,
+                }),
             },
-            RequestLine::Status { id } => {
-                let response = match registry.get(&id) {
-                    Some(handle) => ResponseLine::Status {
-                        id,
-                        status: handle.status(),
-                    },
-                    None => ResponseLine::Failed {
-                        error: format!("status for unknown id `{id}`"),
-                        id,
-                    },
-                };
-                send(&writer, &response);
-            }
-            RequestLine::Progress { id } => {
-                let response = match registry.get(&id) {
-                    Some(handle) => ResponseLine::Progress {
-                        id,
-                        progress: handle.progress(),
-                    },
-                    None => ResponseLine::Failed {
-                        error: format!("progress for unknown id `{id}`"),
-                        id,
-                    },
-                };
-                send(&writer, &response);
-            }
+            RequestLine::Status { id } => send(match registry.get(&id) {
+                Some(handle) => ResponseLine::Status {
+                    id,
+                    status: handle.status(),
+                },
+                None => ResponseLine::Failed {
+                    error: format!("status for unknown id `{id}`"),
+                    id,
+                },
+            }),
+            RequestLine::Progress { id } => send(match registry.get(&id) {
+                Some(handle) => ResponseLine::Progress {
+                    id,
+                    progress: handle.progress(),
+                },
+                None => ResponseLine::Failed {
+                    error: format!("progress for unknown id `{id}`"),
+                    id,
+                },
+            }),
         }
     }
-    // Client closed its write side (or the connection died): deliver
-    // what is still in flight, then let the socket close.
-    for waiter in waiters {
-        let _ = waiter.join();
+    // Client closed its write side (or the connection died). The writer
+    // delivers what is still in flight and exits once the last sender —
+    // ours, a pending job's hook or a campaign thread's — is gone; the
+    // socket closes with it.
+    drop(tx);
+    let _ = writer.join();
+    for campaign in campaigns {
+        let _ = campaign.join();
     }
-    // Drop the shutdown registry's clone along with the locals below,
-    // so the last fd closes here and the peer sees EOF now, not at
-    // server shutdown.
-    lock(&shared.socks).remove(&conn_id);
 }
 
 /// Drive a server as a client: send every request line of `input`,
@@ -540,7 +510,7 @@ pub fn drive(
 ) -> std::io::Result<usize> {
     let requests: Vec<String> = input.lines().collect::<Result<_, _>>()?;
     let stream = TcpStream::connect(addr)?;
-    let mut write_half = stream.try_clone()?;
+    let mut write_half = BufWriter::new(stream.try_clone()?);
     // Writer thread + reader loop, so a server streaming large
     // responses early can never deadlock against an unread send buffer.
     let sender = std::thread::spawn(move || -> std::io::Result<()> {
@@ -548,7 +518,7 @@ pub fn drive(
             writeln!(write_half, "{request}")?;
         }
         write_half.flush()?;
-        write_half.shutdown(std::net::Shutdown::Write)
+        write_half.get_ref().shutdown(Shutdown::Write)
     });
     let mut received = 0usize;
     for line in BufReader::new(stream).lines() {
@@ -568,33 +538,46 @@ pub fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JobStatus;
+
+    /// Records the bytes of every `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
     #[test]
-    fn bounded_reader_skips_over_long_lines_and_resynchronizes() {
-        // A 1-byte buffer forces every line across many `fill_buf` calls.
-        let input: &[u8] = b"abcd\nabcde\n\nxy";
-        let mut reader = BufReader::with_capacity(1, input);
-        let mut buf = Vec::new();
-        let mut next = || {
-            let fits = read_bounded_line(&mut reader, &mut buf, 4).unwrap();
-            (fits, String::from_utf8(buf.clone()).unwrap())
-        };
-        assert_eq!(
-            next(),
-            (Some(true), "abcd".into()),
-            "exactly the limit fits"
-        );
-        assert_eq!(
-            next(),
-            (Some(false), String::new()),
-            "one byte over does not"
-        );
-        assert_eq!(next(), (Some(true), String::new()));
-        assert_eq!(
-            next(),
-            (Some(true), "xy".into()),
-            "last line needs no newline"
-        );
-        assert_eq!(next(), (None, String::new()));
+    fn lines_queued_before_the_writer_runs_leave_in_one_write() {
+        let lines: Vec<ResponseLine> = ["a", "b", "c"]
+            .into_iter()
+            .map(|id| ResponseLine::Status {
+                id: id.into(),
+                status: JobStatus::Queued,
+            })
+            .collect();
+        let (tx, rx) = mpsc::channel();
+        for line in &lines {
+            tx.send(line.clone()).unwrap();
+        }
+        drop(tx);
+        let mut out = CountingWriter::default();
+        write_batches(&mut out, rx);
+        let expected: String = lines
+            .iter()
+            .map(|line| serde_json::to_string(line).unwrap() + "\n")
+            .collect();
+        assert_eq!(out.writes.len(), 1, "one write for the whole batch");
+        assert_eq!(String::from_utf8(out.writes[0].clone()).unwrap(), expected);
     }
 }

@@ -280,6 +280,46 @@ fn nesting_bomb_line_is_a_parse_error_not_a_crash() {
     }
 }
 
+/// Serve `first` (a valid submission) followed by `second` and expect
+/// the stream to end with a parse error naming line 2.
+fn assert_second_line_ends_the_stream(second: &[u8], expected: &str) {
+    let first = serde_json::to_string(&RequestLine::Submit {
+        id: "first".into(),
+        request: ring_request(8, 100),
+        options: SubmitOptions::default(),
+    })
+    .unwrap();
+    let mut input = format!("{first}\n").into_bytes();
+    input.extend_from_slice(second);
+    input.push(b'\n');
+    let err = run_jsonl(
+        BufReader::new(input.as_slice()),
+        Vec::new(),
+        SchedulerConfig::workers(1),
+    )
+    .expect_err("the second line ends the stream");
+    match err {
+        JsonlError::Parse { line, message } => {
+            assert_eq!(line, 2);
+            assert!(message.contains(expected), "{message}");
+        }
+        other => panic!("expected Parse, got {other}"),
+    }
+}
+
+#[test]
+fn a_line_over_the_length_limit_ends_the_stream_with_its_position() {
+    // One byte past the limit: the reader stops buffering at the limit
+    // instead of holding the whole line.
+    let long = vec![b' '; fecim_serve::tcp::MAX_LINE_BYTES + 1];
+    assert_second_line_ends_the_stream(&long, "exceeds");
+}
+
+#[test]
+fn a_non_utf8_line_ends_the_stream_with_its_position() {
+    assert_second_line_ends_the_stream(b"{\"Status\":{\"id\":\"\xff\"}}", "not valid UTF-8");
+}
+
 #[test]
 fn surrogate_pair_escaped_ids_come_back_as_the_same_character() {
     // Python's default `json.dumps` escapes a non-BMP character as a
