@@ -7,10 +7,10 @@
 //! through the simulated DG FeFET array (`fecim_crossbar::TiledCrossbar`,
 //! one tile spanning the matrix or a grid of fixed-size tiles), picking
 //! up quantization, device variation and activity statistics — the
-//! device-in-the-loop mode. [`BatchedBackend`] does the same through one
-//! instance of a shared batched grid.
+//! device-in-the-loop mode. [`DeviceBackend::on`] does the same through
+//! any [`InSituArray`], such as one instance of a shared batched grid.
 
-use fecim_crossbar::{ActivityStats, BatchInstance, CrossbarConfig, InSituArray, TiledCrossbar};
+use fecim_crossbar::{ActivityStats, CrossbarConfig, InSituArray, TiledCrossbar};
 use fecim_ising::{CsrCoupling, FlipMask, LocalFieldState, SpinVector};
 
 /// Source of energies for the annealing engines.
@@ -94,11 +94,12 @@ impl EnergyBackend for ExactBackend<'_> {
 
 /// Device-in-the-loop backend: all energy-form measurements go through a
 /// simulated array (a [`TiledCrossbar`] or a shared-grid
-/// [`BatchInstance`], via the [`InSituArray`] read interface); an exact
-/// shadow state tracks true energies for reporting.
+/// [`BatchInstance`](fecim_crossbar::BatchInstance), via the
+/// [`InSituArray`] read interface); an exact shadow state tracks true
+/// energies for reporting.
 ///
-/// Use the [`TiledBackend`] / [`BatchedBackend`] aliases and their
-/// constructors.
+/// Build one with [`DeviceBackend::on`], or program a tiled array with
+/// [`TiledBackend::new`].
 #[derive(Debug)]
 pub struct DeviceBackend<'a, A: InSituArray> {
     array: A,
@@ -117,15 +118,16 @@ pub struct DeviceBackend<'a, A: InSituArray> {
 /// tiles.
 pub type TiledBackend<'a> = DeviceBackend<'a, TiledCrossbar>;
 
-/// Device-in-the-loop backend over one instance of a *shared*
-/// [`BatchedTiledCrossbar`](fecim_crossbar::BatchedTiledCrossbar) grid:
-/// the solver drives its own replica while sibling replicas occupy the
-/// same physical tiles from other threads — the multi-problem batching
-/// mode of [`Ensemble::run_batched`](crate::Ensemble::run_batched).
-pub type BatchedBackend<'a> = DeviceBackend<'a, BatchInstance>;
-
 impl<'a, A: InSituArray> DeviceBackend<'a, A> {
-    fn from_array(
+    /// Drive `array`, starting from `initial`.
+    ///
+    /// The array must already hold `coupling` (a freshly programmed
+    /// [`TiledCrossbar`], or a
+    /// [`BatchInstance`](fecim_crossbar::BatchInstance) of a shared grid
+    /// the caller built — the multi-problem batching mode of
+    /// [`Ensemble::run_batched`](crate::Ensemble::run_batched));
+    /// `initial.len()` must equal its dimension.
+    pub fn on(
         mut array: A,
         coupling: &'a CsrCoupling,
         initial: SpinVector,
@@ -156,7 +158,7 @@ impl<'a> TiledBackend<'a> {
         config: CrossbarConfig,
         tile_rows: usize,
     ) -> TiledBackend<'a> {
-        DeviceBackend::from_array(
+        DeviceBackend::on(
             TiledCrossbar::program(coupling, config, tile_rows),
             coupling,
             initial,
@@ -166,21 +168,6 @@ impl<'a> TiledBackend<'a> {
     /// The underlying tiled array (tile grid, activity, configuration).
     pub fn tiled(&self) -> &TiledCrossbar {
         &self.array
-    }
-}
-
-impl<'a> BatchedBackend<'a> {
-    /// Drive the grid instance behind `handle`, starting from `initial`.
-    ///
-    /// The handle's instance must have been programmed with `coupling`
-    /// (the caller built the grid); `initial.len()` must equal the
-    /// instance dimension.
-    pub fn new(
-        coupling: &'a CsrCoupling,
-        initial: SpinVector,
-        handle: BatchInstance,
-    ) -> BatchedBackend<'a> {
-        DeviceBackend::from_array(handle, coupling, initial)
     }
 }
 

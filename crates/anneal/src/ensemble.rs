@@ -113,7 +113,7 @@ impl Ensemble {
     /// `trials` of them. Trial `i` receives `(i, base_seed + i, handle)`
     /// where `handle` is the grid's
     /// [`BatchInstance`](fecim_crossbar::BatchInstance) for instance `i`
-    /// (wrap it in a [`BatchedBackend`](crate::BatchedBackend)).
+    /// (drive it with [`DeviceBackend::on`](crate::DeviceBackend::on)).
     ///
     /// The determinism contract of [`Ensemble::run`] carries over:
     /// instances occupy disjoint stripes with their own seeds and noise

@@ -40,7 +40,7 @@ mod schedule;
 mod tabu;
 mod trace;
 
-pub use backend::{BatchedBackend, DeviceBackend, EnergyBackend, ExactBackend, TiledBackend};
+pub use backend::{DeviceBackend, EnergyBackend, ExactBackend, TiledBackend};
 pub use engine::{run_direct, run_in_situ, suggest_einc_scale, Acceptance, AnnealConfig};
 pub use ensemble::Ensemble;
 pub use local_search::{local_search, multi_start_local_search};

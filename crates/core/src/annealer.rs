@@ -7,14 +7,14 @@ use serde::{Deserialize, Serialize};
 
 use fecim_anneal::{
     run_in_situ, suggest_einc_scale, AnnealConfig, ExactBackend, RunResult, SteppedSchedule,
-    TiledBackend,
 };
 use fecim_crossbar::CrossbarConfig;
-use fecim_device::{AnnealFactor, DeviceFactor, FractionalFactor, TableFactor};
-use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
+use fecim_device::{AnnealFactor, CurveError, DeviceFactor, FractionalFactor, TableFactor};
+use fecim_hwcost::{AnnealerKind, EnergyReport, TimeReport};
 use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, SpinVector};
 
-use crate::solver::Solver;
+use crate::device_solver::{Arch, DeviceSolver};
+use crate::solver::{paper_pricing, Solver};
 
 /// Which annealing-factor implementation drives the acceptance test.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,17 +42,30 @@ pub enum FactorChoice {
 }
 
 impl FactorChoice {
-    /// Check that this choice can actually produce a factor — in
-    /// particular that a [`FactorChoice::Table`] curve has enough
-    /// strictly-increasing, non-negative samples.
+    /// Check that this choice can actually produce a factor: that a
+    /// [`FactorChoice::Fractional`] form is pole-free and non-negative
+    /// over a positive range, and that a [`FactorChoice::Table`] curve has
+    /// enough strictly-increasing, non-negative samples ending at a
+    /// positive temperature.
     ///
     /// # Errors
     ///
-    /// Returns the curve's [`fecim_device::CurveError`] when it cannot
-    /// define an annealing factor.
-    pub fn validate(&self) -> Result<(), fecim_device::CurveError> {
-        if let FactorChoice::Table(points) = self {
-            TableFactor::try_new(points.clone())?;
+    /// Returns the [`CurveError`] that keeps the choice from defining an
+    /// annealing factor.
+    pub fn validate(&self) -> Result<(), CurveError> {
+        match self {
+            FactorChoice::PaperFractional | FactorChoice::Device => {}
+            FactorChoice::Fractional { a, b, c, d, t_max } => {
+                FractionalFactor::try_new(*a, *b, *c, *d, *t_max)?;
+            }
+            FactorChoice::Table(points) => {
+                TableFactor::try_new(points.clone())?;
+                // The stepped schedule descends from the curve's last
+                // temperature to 0.
+                if self.t_max() <= 0.0 {
+                    return Err(CurveError::EmptyRange);
+                }
+            }
         }
         Ok(())
     }
@@ -84,31 +97,24 @@ pub struct CimAnnealer {
     flips: usize,
     factor: FactorChoice,
     einc_scale: Option<f64>,
-    device_in_loop: Option<CrossbarConfig>,
-    tile_rows: Option<usize>,
     trace_every: Option<usize>,
     target_energy: Option<f64>,
-    quant_bits: u8,
-    mux_ratio: usize,
 }
 
 impl CimAnnealer {
     /// A solver with the paper's defaults: `t = 2` flips per iteration,
-    /// the analytic fractional factor, software-exact energy evaluation
-    /// (set [`CimAnnealer::with_device_in_loop`] for crossbar-in-the-loop
-    /// simulation), 4-bit weights, 8:1 ADC muxing.
+    /// the analytic fractional factor and software-exact energy
+    /// evaluation, priced at 4-bit weights and 8:1 ADC muxing (see
+    /// [`CimAnnealer::with_device_in_loop`] for crossbar-in-the-loop
+    /// simulation).
     pub fn new(iterations: usize) -> CimAnnealer {
         CimAnnealer {
             iterations,
             flips: 2,
             factor: FactorChoice::PaperFractional,
             einc_scale: None,
-            device_in_loop: None,
-            tile_rows: None,
             trace_every: None,
             target_energy: None,
-            quant_bits: crate::solver::DEFAULT_QUANT_BITS,
-            mux_ratio: crate::solver::DEFAULT_MUX_RATIO,
         }
     }
 
@@ -127,10 +133,11 @@ impl CimAnnealer {
     ///
     /// # Panics
     ///
-    /// Panics with the curve's [`fecim_device::CurveError`] description
-    /// when a [`FactorChoice::Table`] calibration curve is empty,
-    /// unsorted, or negative — the misconfiguration surfaces here, at
-    /// build time, instead of deep inside a run.
+    /// Panics with the [`CurveError`] description when
+    /// [`FactorChoice::validate`] rejects the choice (a fractional form
+    /// with a pole or a negative stretch, a calibration curve that is
+    /// empty, unsorted or negative) — the misconfiguration surfaces here,
+    /// at build time, instead of deep inside a run.
     pub fn with_factor(mut self, factor: FactorChoice) -> CimAnnealer {
         if let Err(e) = factor.validate() {
             // audit:allow(panic-path): documented `# Panics` contract — builder misconfiguration fails loudly at build time, not mid-run
@@ -155,11 +162,8 @@ impl CimAnnealer {
     /// Route all energy measurements through the simulated DG FeFET
     /// crossbar, programmed as one tile spanning the whole matrix
     /// (quantization, ADC, variation, activity statistics).
-    pub fn with_device_in_loop(mut self, config: CrossbarConfig) -> CimAnnealer {
-        self.quant_bits = config.quant_bits;
-        self.mux_ratio = config.mux_ratio;
-        self.device_in_loop = Some(config);
-        self
+    pub fn with_device_in_loop(self, config: CrossbarConfig) -> DeviceSolver {
+        DeviceSolver::new(Arch::Cim(self), config, None)
     }
 
     /// Route all energy measurements through the *tiled* array
@@ -173,29 +177,16 @@ impl CimAnnealer {
     ///
     /// Panics if `tile_rows == 0`.
     pub fn with_tiled_device_in_loop(
-        mut self,
+        self,
         config: CrossbarConfig,
         tile_rows: usize,
-    ) -> CimAnnealer {
-        assert!(tile_rows > 0, "tile_rows must be positive");
-        self.tile_rows = Some(tile_rows);
-        self.with_device_in_loop(config)
+    ) -> DeviceSolver {
+        DeviceSolver::new(Arch::Cim(self), config, Some(tile_rows))
     }
 
     /// Record a trace point every `every` iterations.
     pub fn with_trace(mut self, every: usize) -> CimAnnealer {
         self.trace_every = Some(every.max(1));
-        self
-    }
-
-    /// Strip any device backend and restore the software-exact defaults
-    /// — the [`Session`](crate::Session) hook that makes the request's
-    /// `BackendPlan` authoritative over knobs already on the solver.
-    pub(crate) fn with_analytic_backend(mut self) -> CimAnnealer {
-        self.device_in_loop = None;
-        self.tile_rows = None;
-        self.quant_bits = crate::solver::DEFAULT_QUANT_BITS;
-        self.mux_ratio = crate::solver::DEFAULT_MUX_RATIO;
         self
     }
 
@@ -212,6 +203,31 @@ impl CimAnnealer {
         self.iterations
     }
 
+    /// Check a (possibly wire-deserialized) configuration the builders
+    /// would have rejected: the builder panics never run for JSON
+    /// payloads, so [`Session::prepare`](crate::Session::prepare) calls
+    /// this instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when `flips` is zero, a fixed `E_inc`
+    /// normalization is not positive, or the annealing factor is
+    /// unusable (see [`FactorChoice::validate`]). Zero iterations stay
+    /// valid: that is the warm-start echo contract.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.flips == 0 {
+            return Err("CiM solver needs at least one flip per iteration".to_string());
+        }
+        if let Some(scale) = self.einc_scale {
+            if scale.is_nan() || scale <= 0.0 {
+                return Err(format!("CiM E_inc scale must be positive (got {scale})"));
+            }
+        }
+        self.factor
+            .validate()
+            .map_err(|e| format!("invalid annealing factor: {e}"))
+    }
+
     /// Solve a COP: transform to Ising (ancilla-embedding linear terms if
     /// present), anneal, and score the solution in the problem's native
     /// objective (convenience wrapper over the [`Solver`] pipeline).
@@ -224,10 +240,10 @@ impl CimAnnealer {
     }
 
     /// Run the in-situ flow against a caller-supplied energy backend —
-    /// the hook behind shared-grid batching (the
-    /// [`BackendPlan::Batched`](crate::BackendPlan::Batched) route builds
-    /// one [`fecim_anneal::BatchedBackend`] per ensemble replica), and
-    /// useful for any custom array model implementing
+    /// the hook behind the device route (a [`DeviceSolver`] drives one
+    /// [`fecim_anneal::DeviceBackend`] per trial, on its own tiled array
+    /// or on a shared-grid replica), and useful for any custom array
+    /// model implementing
     /// [`fecim_anneal::EnergyBackend`]. Schedule, annealing factor and
     /// `E_inc` normalization come from this solver's configuration,
     /// exactly as in [`Solver::run_engine`]; the backend decides where
@@ -279,44 +295,15 @@ impl Solver for CimAnnealer {
     }
 
     fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
-        match &self.device_in_loop {
-            None => {
-                let mut backend = ExactBackend::new(coupling, initial);
-                self.anneal_with_backend(coupling, &mut backend, seed)
-            }
-            Some(xb_config) => {
-                let tile_rows = self.tile_rows.unwrap_or(coupling.dimension());
-                let mut backend =
-                    TiledBackend::new(coupling, initial, xb_config.clone(), tile_rows);
-                self.anneal_with_backend(coupling, &mut backend, seed)
-            }
-        }
+        self.anneal_with_backend(coupling, &mut ExactBackend::new(coupling, initial), seed)
     }
 
     fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport) {
-        let cost_model = match self.tile_rows {
-            None => CostModel::paper_22nm(spins, self.quant_bits),
-            Some(tr) => CostModel::paper_22nm_tiled(spins, self.quant_bits, tr),
-        };
-        let profile = IterationProfile {
-            spins,
-            quant_bits: self.quant_bits,
-            flips: self.flips,
-            mux_ratio: self.mux_ratio,
-            tile_rows: self.tile_rows,
-            batch_instances: 1,
-        };
-        // Prefer measured activity (device-in-loop) over the analytic model.
-        match &run.activity {
-            Some(stats) => (
-                fecim_hwcost::energy_of(stats, &cost_model, fecim_hwcost::ExpUnit::Asic),
-                fecim_hwcost::time_of(stats, &cost_model, fecim_hwcost::ExpUnit::Asic),
-            ),
-            None => (
-                profile.run_energy(AnnealerKind::InSitu, &cost_model, run.iterations),
-                profile.run_time(AnnealerKind::InSitu, &cost_model, run.iterations),
-            ),
-        }
+        let (profile, cost_model) = paper_pricing(spins, self.flips);
+        (
+            profile.run_energy(AnnealerKind::InSitu, &cost_model, run.iterations),
+            profile.run_time(AnnealerKind::InSitu, &cost_model, run.iterations),
+        )
     }
 }
 

@@ -5,15 +5,16 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::{
-    run_direct, suggest_einc_scale, Acceptance, AnnealConfig, ExactBackend, GeometricSchedule,
-    RunResult, TiledBackend,
+    run_direct, suggest_einc_scale, Acceptance, AnnealConfig, EnergyBackend, ExactBackend,
+    GeometricSchedule, RunResult,
 };
 use fecim_crossbar::CrossbarConfig;
-use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, ExpUnit, IterationProfile, TimeReport};
+use fecim_hwcost::{AnnealerKind, EnergyReport, ExpUnit, TimeReport};
 use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, SpinVector};
 
 use crate::annealer::SolveReport;
-use crate::solver::Solver;
+use crate::device_solver::{Arch, DeviceSolver};
+use crate::solver::{paper_pricing, Solver};
 
 /// Baseline direct-E CiM annealer (conventional FeFET crossbar + digital
 /// Metropolis acceptance with a hardware `eˣ` unit).
@@ -25,12 +26,8 @@ pub struct DirectAnnealer {
     acceptance: Acceptance,
     t0: Option<f64>,
     t_end_fraction: f64,
-    device_in_loop: Option<CrossbarConfig>,
-    tile_rows: Option<usize>,
     trace_every: Option<usize>,
     target_energy: Option<f64>,
-    quant_bits: u8,
-    mux_ratio: usize,
 }
 
 impl DirectAnnealer {
@@ -52,12 +49,8 @@ impl DirectAnnealer {
             acceptance: Acceptance::Metropolis,
             t0: None,
             t_end_fraction: 1e-2,
-            device_in_loop: None,
-            tile_rows: None,
             trace_every: None,
             target_energy: None,
-            quant_bits: crate::solver::DEFAULT_QUANT_BITS,
-            mux_ratio: crate::solver::DEFAULT_MUX_RATIO,
         }
     }
 
@@ -99,11 +92,8 @@ impl DirectAnnealer {
 
     /// Route energy measurements through the simulated crossbar,
     /// programmed as one tile spanning the whole matrix.
-    pub fn with_device_in_loop(mut self, config: CrossbarConfig) -> DirectAnnealer {
-        self.quant_bits = config.quant_bits;
-        self.mux_ratio = config.mux_ratio;
-        self.device_in_loop = Some(config);
-        self
+    pub fn with_device_in_loop(self, config: CrossbarConfig) -> DeviceSolver {
+        DeviceSolver::new(Arch::Direct(self), config, None)
     }
 
     /// Route energy measurements through the tiled array composition
@@ -114,29 +104,16 @@ impl DirectAnnealer {
     ///
     /// Panics if `tile_rows == 0`.
     pub fn with_tiled_device_in_loop(
-        mut self,
+        self,
         config: CrossbarConfig,
         tile_rows: usize,
-    ) -> DirectAnnealer {
-        assert!(tile_rows > 0, "tile_rows must be positive");
-        self.tile_rows = Some(tile_rows);
-        self.with_device_in_loop(config)
+    ) -> DeviceSolver {
+        DeviceSolver::new(Arch::Direct(self), config, Some(tile_rows))
     }
 
     /// Record a trace point every `every` iterations.
     pub fn with_trace(mut self, every: usize) -> DirectAnnealer {
         self.trace_every = Some(every.max(1));
-        self
-    }
-
-    /// Strip any device backend and restore the software-exact defaults
-    /// — the [`Session`](crate::Session) hook that makes the request's
-    /// `BackendPlan` authoritative over knobs already on the solver.
-    pub(crate) fn with_analytic_backend(mut self) -> DirectAnnealer {
-        self.device_in_loop = None;
-        self.tile_rows = None;
-        self.quant_bits = crate::solver::DEFAULT_QUANT_BITS;
-        self.mux_ratio = crate::solver::DEFAULT_MUX_RATIO;
         self
     }
 
@@ -151,6 +128,70 @@ impl DirectAnnealer {
     /// Iterations per run.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// Check a (possibly wire-deserialized) configuration the builders
+    /// would have rejected: the builder panics never run for JSON
+    /// payloads, so [`Session::prepare`](crate::Session::prepare) calls
+    /// this instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when `flips` is zero, a fixed initial
+    /// temperature is not finite and positive, or the final-temperature
+    /// fraction lies outside `(0, 1)`. Zero iterations stay valid: that
+    /// is the warm-start echo contract.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.flips == 0 {
+            return Err("direct-E solver needs at least one flip per iteration".to_string());
+        }
+        if let Some(t0) = self.t0 {
+            if !t0.is_finite() || t0 <= 0.0 {
+                return Err(format!(
+                    "direct-E initial temperature must be finite and positive (got {t0})"
+                ));
+            }
+        }
+        if self.t_end_fraction.is_nan() || self.t_end_fraction <= 0.0 || self.t_end_fraction >= 1.0
+        {
+            return Err(format!(
+                "direct-E final temperature fraction must lie in (0, 1) (got {})",
+                self.t_end_fraction
+            ));
+        }
+        Ok(())
+    }
+
+    /// Run the direct-E flow against `backend`, which starts from the
+    /// trial's initial configuration over `coupling`: the exact software
+    /// backend for a plain solve, a device array for a [`DeviceSolver`].
+    pub(crate) fn anneal_with_backend<B: EnergyBackend>(
+        &self,
+        coupling: &CsrCoupling,
+        backend: &mut B,
+        seed: u64,
+    ) -> RunResult {
+        let n = coupling.dimension();
+        // Default T0: a few times the typical |ΔE| of a t-flip move, so
+        // the Metropolis walk starts hot (the classical SA prescription).
+        let t0 = self
+            .t0
+            .unwrap_or_else(|| 4.0 * 4.0 * suggest_einc_scale(coupling, self.flips));
+        // A zero-iteration run (warm-start verbatim contract) never
+        // samples the schedule, but the constructor insists on ≥ 1.
+        let schedule = GeometricSchedule::over_iterations(
+            t0,
+            t0 * self.t_end_fraction,
+            self.iterations.max(1),
+        );
+        let mut config = AnnealConfig::new(self.iterations, seed).with_flips(self.flips.min(n));
+        if let Some(every) = self.trace_every {
+            config = config.with_trace(every);
+        }
+        if let Some(target) = self.target_energy {
+            config = config.with_target_energy(target);
+        }
+        run_direct(backend, &schedule, self.acceptance, config)
     }
 
     /// Solve a COP with the baseline flow (convenience wrapper over the
@@ -181,68 +222,15 @@ impl Solver for DirectAnnealer {
     }
 
     fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
-        let n = coupling.dimension();
-        // Default T0: a few times the typical |ΔE| of a t-flip move, so
-        // the Metropolis walk starts hot (the classical SA prescription).
-        let t0 = self
-            .t0
-            .unwrap_or_else(|| 4.0 * 4.0 * suggest_einc_scale(coupling, self.flips));
-        // A zero-iteration run (warm-start verbatim contract) never
-        // samples the schedule, but the constructor insists on ≥ 1.
-        let schedule = GeometricSchedule::over_iterations(
-            t0,
-            t0 * self.t_end_fraction,
-            self.iterations.max(1),
-        );
-        let mut config = AnnealConfig::new(self.iterations, seed).with_flips(self.flips.min(n));
-        if let Some(every) = self.trace_every {
-            config = config.with_trace(every);
-        }
-        if let Some(target) = self.target_energy {
-            config = config.with_target_energy(target);
-        }
-        match &self.device_in_loop {
-            None => {
-                let mut backend = ExactBackend::new(coupling, initial);
-                run_direct(&mut backend, &schedule, self.acceptance, config)
-            }
-            Some(xb_config) => {
-                let tile_rows = self.tile_rows.unwrap_or(n);
-                let mut backend =
-                    TiledBackend::new(coupling, initial, xb_config.clone(), tile_rows);
-                run_direct(&mut backend, &schedule, self.acceptance, config)
-            }
-        }
+        self.anneal_with_backend(coupling, &mut ExactBackend::new(coupling, initial), seed)
     }
 
     fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport) {
-        // The baseline evaluates eˣ once per iteration (Fig. 1b digital
-        // computation); stamp it into measured activity when present.
-        if let Some(stats) = run.activity.as_mut() {
-            stats.exp_evaluations = run.iterations as u64;
-        }
-        let cost_model = match self.tile_rows {
-            None => CostModel::paper_22nm(spins, self.quant_bits),
-            Some(tr) => CostModel::paper_22nm_tiled(spins, self.quant_bits, tr),
-        };
-        let profile = IterationProfile {
-            spins,
-            quant_bits: self.quant_bits,
-            flips: self.flips,
-            mux_ratio: self.mux_ratio,
-            tile_rows: self.tile_rows,
-            batch_instances: 1,
-        };
-        match &run.activity {
-            Some(stats) => (
-                fecim_hwcost::energy_of(stats, &cost_model, self.exp_unit),
-                fecim_hwcost::time_of(stats, &cost_model, self.exp_unit),
-            ),
-            None => (
-                profile.run_energy(self.kind(), &cost_model, run.iterations),
-                profile.run_time(self.kind(), &cost_model, run.iterations),
-            ),
-        }
+        let (profile, cost_model) = paper_pricing(spins, self.flips);
+        (
+            profile.run_energy(self.kind(), &cost_model, run.iterations),
+            profile.run_time(self.kind(), &cost_model, run.iterations),
+        )
     }
 }
 

@@ -8,56 +8,23 @@
 //! [`Session::run`](crate::Session::run)) turns that slack into
 //! throughput: the ensemble's replicas are packed
 //! side by side onto one [`BatchedTiledCrossbar`] (block-diagonal along
-//! the stripe axis), every replica anneals against its own
-//! [`BatchedBackend`] handle, and replicas convert concurrently on
-//! disjoint ADC banks — the grid serves `trials` solves in the hardware
-//! time of roughly one.
+//! the stripe axis), every replica runs the request's
+//! [`DeviceSolver`](crate::DeviceSolver) on its own
+//! [`BatchInstance`](fecim_crossbar::BatchInstance), and replicas convert
+//! concurrently on disjoint ADC banks — the grid serves `trials` solves
+//! in the hardware time of roughly one.
 //!
 //! In [`Fidelity::Ideal`](fecim_crossbar::Fidelity::Ideal) mode each
 //! replica's trajectory is bit-identical to the same trial run unbatched
-//! through [`CimAnnealer::with_tiled_device_in_loop`] — batching is a
-//! placement change, not an algorithm change — which is exactly what the
-//! equivalence tests pin.
+//! through [`CimAnnealer::with_tiled_device_in_loop`](crate::CimAnnealer::with_tiled_device_in_loop)
+//! — batching is a placement change, not an algorithm change — which is
+//! exactly what the equivalence tests pin.
 
 use serde::{Deserialize, Serialize};
 
-use fecim_anneal::BatchedBackend;
-use fecim_crossbar::{BatchInstance, BatchedTiledCrossbar};
-use fecim_ising::SpinVector;
+use fecim_crossbar::BatchedTiledCrossbar;
 
-use crate::annealer::{CimAnnealer, SolveReport};
-use crate::solver::Solver;
-
-/// A solver that can anneal one replica against a shared-grid instance
-/// handle — the hook that lets the batched route serve both the CiM
-/// in-situ annealer (incremental-E sensing through a [`BatchedBackend`])
-/// and the SB family (full-vector MVM reads on the same grid block)
-/// through one code path.
-pub(crate) trait BatchedSolve: Solver {
-    /// Run one trial against the instance's grid block. The handle has
-    /// already been reseeded for the trial; `initial` is the embedded
-    /// start configuration.
-    fn anneal_batched(
-        &self,
-        coupling: &fecim_ising::CsrCoupling,
-        initial: SpinVector,
-        handle: BatchInstance,
-        seed: u64,
-    ) -> fecim_anneal::RunResult;
-}
-
-impl BatchedSolve for CimAnnealer {
-    fn anneal_batched(
-        &self,
-        coupling: &fecim_ising::CsrCoupling,
-        initial: SpinVector,
-        handle: BatchInstance,
-        seed: u64,
-    ) -> fecim_anneal::RunResult {
-        let mut backend = BatchedBackend::new(coupling, initial, handle);
-        self.anneal_with_backend(coupling, &mut backend, seed)
-    }
-}
+use crate::annealer::SolveReport;
 
 /// Grid-level summary of one batched ensemble solve.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]

@@ -96,7 +96,10 @@
 //! [`MesaAnnealer`], [`SbAnnealer`]) and the [`Solver`] trait remain the
 //! machinery underneath — [`Solver::solve`] is still the right call for
 //! quick one-off library use, and runs the same trial pipeline as every
-//! request route. Everything ensemble- or batch-shaped goes through
+//! request route. The solver configs hold algorithm settings only; a
+//! [`DeviceSolver`] pairs one with the simulated crossbar it reads
+//! through, and is the one route every device trial runs (the builders'
+//! `with_device_in_loop` / `with_tiled_device_in_loop` construct one). Everything ensemble- or batch-shaped goes through
 //! requests: [`Session::run`] for a whole request, or
 //! [`Session::prepare`] and the [`PreparedJob`] trial methods for a
 //! scheduler. A batched response reports one [`BatchGridSummary`] per
@@ -108,6 +111,7 @@
 mod annealer;
 mod baselines;
 mod batch;
+mod device_solver;
 pub mod experiment;
 mod mesa_solver;
 pub mod report;
@@ -119,6 +123,7 @@ mod solver;
 pub use annealer::{CimAnnealer, FactorChoice, SolveReport};
 pub use baselines::DirectAnnealer;
 pub use batch::BatchGridSummary;
+pub use device_solver::DeviceSolver;
 pub use experiment::{
     cost_trend, run_experiment, AlgoStats, ExperimentConfig, ExperimentOutcome, GroupOutcome,
     HardwareCost, Scale, TrendPoint,

@@ -5,11 +5,11 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::{run_mesa, suggest_einc_scale, MesaConfig, RunResult};
-use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, ExpUnit, IterationProfile, TimeReport};
+use fecim_hwcost::{AnnealerKind, EnergyReport, ExpUnit, TimeReport};
 use fecim_ising::{CopProblem, CsrCoupling, IsingError, SpinVector};
 
 use crate::annealer::SolveReport;
-use crate::solver::Solver;
+use crate::solver::{paper_pricing, Solver};
 
 /// The MESA baseline solver (ref \[7\]'s enhanced SA on direct-E hardware).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,6 +43,21 @@ impl MesaAnnealer {
     /// Total iterations across all epochs.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// Check a (possibly wire-deserialized) configuration the builders
+    /// would have rejected: the builder panics never run for JSON
+    /// payloads, so [`Session::prepare`](crate::Session::prepare) calls
+    /// this instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when `epochs` is zero.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.epochs == 0 {
+            return Err("MESA needs at least one epoch".to_string());
+        }
+        Ok(())
     }
 
     /// Solve a COP with MESA (convenience wrapper over the [`Solver`]
@@ -98,10 +113,9 @@ impl Solver for MesaAnnealer {
     }
 
     fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport) {
-        // Same direct-E hardware as the ASIC baseline (one exp unit, full
-        // array reads each iteration).
-        let cost_model = CostModel::paper_22nm(spins, 4);
-        let profile = IterationProfile::paper(spins);
+        // Same direct-E hardware as the ASIC baseline at its default
+        // t = 2 (one exp unit, full array reads each iteration).
+        let (profile, cost_model) = paper_pricing(spins, 2);
         let mut activity = profile.activity(AnnealerKind::CimAsic);
         let iters = run.iterations as u64;
         activity.array_ops *= iters;

@@ -117,9 +117,15 @@ impl ProblemSpec {
 ///
 /// Each variant embeds the full solver configuration (iterations, flips,
 /// annealing factor, schedule knobs, …) — the same builder types the
-/// library API uses, which already serialize. Device-backend settings on
-/// the embedded solver are ignored: the request's [`BackendPlan`] is the
-/// single authority on where energy measurements come from.
+/// library API uses, which already serialize. Solver configs carry no
+/// device settings: the request's [`BackendPlan`] alone decides where
+/// energy measurements come from, and a device plan runs the solver as
+/// a [`DeviceSolver`](crate::DeviceSolver). Older JSON whose solver still
+/// carries `device_in_loop`, `tile_rows`, `quant_bits` or `mux_ratio`
+/// keys parses unchanged; the keys are ignored, as the plan always
+/// overrode them. [`Session::prepare`](crate::Session::prepare)
+/// validates the embedded config, since builder checks never run for
+/// deserialized payloads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SolverSpec {
     /// The proposed ferroelectric CiM in-situ annealer.

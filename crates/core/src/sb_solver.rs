@@ -6,13 +6,14 @@
 use serde::{Deserialize, Serialize};
 
 use fecim_anneal::RunResult;
-use fecim_crossbar::{BatchInstance, CrossbarConfig, TiledCrossbar};
-use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
+use fecim_crossbar::CrossbarConfig;
+use fecim_hwcost::{AnnealerKind, EnergyReport, TimeReport};
 use fecim_ising::{CopProblem, CsrCoupling, IsingError, SpinVector};
-use fecim_sb::{DeviceMvm, ExactMvm, PressureSchedule, SbEngine, SbVariant};
+use fecim_sb::{ExactMvm, PressureSchedule, SbEngine, SbVariant};
 
 use crate::annealer::SolveReport;
-use crate::solver::Solver;
+use crate::device_solver::{Arch, DeviceSolver};
+use crate::solver::{paper_pricing, Solver};
 
 /// Default input-DAC resolution of the ballistic variant's bit-serial
 /// continuous drive (matches the array's 4-bit weight quantization).
@@ -33,18 +34,14 @@ pub struct SbAnnealer {
     pressure_schedule: PressureSchedule,
     coupling_strength: Option<f64>,
     in_bits: u8,
-    device_in_loop: Option<CrossbarConfig>,
-    tile_rows: Option<usize>,
     trace_every: Option<usize>,
     target_energy: Option<f64>,
-    quant_bits: u8,
-    mux_ratio: usize,
 }
 
 impl SbAnnealer {
     /// An SB solver with the engine defaults: `dt = 0.25`, a linear
     /// pressure ramp to `1.0`, problem-adapted coupling strength, 4-bit
-    /// input DAC, software-exact MVM (set
+    /// input DAC, software-exact MVM (see
     /// [`SbAnnealer::with_device_in_loop`] for crossbar-in-the-loop
     /// simulation).
     pub fn new(variant: SbVariant, steps: usize) -> SbAnnealer {
@@ -55,12 +52,8 @@ impl SbAnnealer {
             pressure_schedule: PressureSchedule::linear(),
             coupling_strength: None,
             in_bits: DEFAULT_IN_BITS,
-            device_in_loop: None,
-            tile_rows: None,
             trace_every: None,
             target_energy: None,
-            quant_bits: crate::solver::DEFAULT_QUANT_BITS,
-            mux_ratio: crate::solver::DEFAULT_MUX_RATIO,
         }
     }
 
@@ -131,11 +124,8 @@ impl SbAnnealer {
     /// programmed as one tile spanning the whole matrix (quantization,
     /// ADC conversion, activity statistics, and — in device-accurate
     /// fidelity — variation and counter-based read noise).
-    pub fn with_device_in_loop(mut self, config: CrossbarConfig) -> SbAnnealer {
-        self.quant_bits = config.quant_bits;
-        self.mux_ratio = config.mux_ratio;
-        self.device_in_loop = Some(config);
-        self
+    pub fn with_device_in_loop(self, config: CrossbarConfig) -> DeviceSolver {
+        DeviceSolver::new(Arch::Sb(self), config, None)
     }
 
     /// Route every coupling MVM through the *tiled* array composition
@@ -148,24 +138,11 @@ impl SbAnnealer {
     ///
     /// Panics if `tile_rows == 0`.
     pub fn with_tiled_device_in_loop(
-        mut self,
+        self,
         config: CrossbarConfig,
         tile_rows: usize,
-    ) -> SbAnnealer {
-        assert!(tile_rows > 0, "tile_rows must be positive");
-        self.tile_rows = Some(tile_rows);
-        self.with_device_in_loop(config)
-    }
-
-    /// Strip any device backend and restore the software-exact defaults
-    /// — the [`Session`](crate::Session) hook that makes the request's
-    /// `BackendPlan` authoritative over knobs already on the solver.
-    pub(crate) fn with_analytic_backend(mut self) -> SbAnnealer {
-        self.device_in_loop = None;
-        self.tile_rows = None;
-        self.quant_bits = crate::solver::DEFAULT_QUANT_BITS;
-        self.mux_ratio = crate::solver::DEFAULT_MUX_RATIO;
-        self
+    ) -> DeviceSolver {
+        DeviceSolver::new(Arch::Sb(self), config, Some(tile_rows))
     }
 
     /// Record a trace point every `every` steps.
@@ -190,6 +167,11 @@ impl SbAnnealer {
     /// Symplectic Euler steps per run.
     pub fn steps(&self) -> usize {
         self.steps
+    }
+
+    /// Input-DAC resolution of the ballistic bit-serial drive.
+    pub(crate) fn in_bits(&self) -> u8 {
+        self.in_bits
     }
 
     /// Full-array reads one SB step issues on the device path: `in_bits`
@@ -288,66 +270,18 @@ impl Solver for SbAnnealer {
     }
 
     fn run_engine(&self, coupling: &CsrCoupling, initial: SpinVector, seed: u64) -> RunResult {
-        let engine = self.engine();
-        match &self.device_in_loop {
-            None => {
-                let mut source = ExactMvm::new(coupling);
-                engine.run(coupling, &mut source, &initial, seed)
-            }
-            Some(xb_config) => {
-                let tile_rows = self.tile_rows.unwrap_or(initial.len());
-                let mut source = DeviceMvm::new(
-                    TiledCrossbar::program(coupling, xb_config.clone(), tile_rows),
-                    self.in_bits,
-                );
-                engine.run(coupling, &mut source, &initial, seed)
-            }
-        }
+        self.engine()
+            .run(coupling, &mut ExactMvm::new(coupling), &initial, seed)
     }
 
     fn hardware_report(&self, run: &mut RunResult, spins: usize) -> (EnergyReport, TimeReport) {
-        let cost_model = match self.tile_rows {
-            None => CostModel::paper_22nm(spins, self.quant_bits),
-            Some(tr) => CostModel::paper_22nm_tiled(spins, self.quant_bits, tr),
-        };
-        let profile = IterationProfile {
-            spins,
-            quant_bits: self.quant_bits,
-            // SB updates every spin per step; `flips` has no SB meaning
-            // and only feeds the annealer arms of the profile.
-            flips: 1,
-            mux_ratio: self.mux_ratio,
-            tile_rows: self.tile_rows,
-            batch_instances: 1,
-        };
-        // Prefer measured activity (device-in-loop) over the analytic model.
-        match &run.activity {
-            Some(stats) => (
-                fecim_hwcost::energy_of(stats, &cost_model, fecim_hwcost::ExpUnit::Asic),
-                fecim_hwcost::time_of(stats, &cost_model, fecim_hwcost::ExpUnit::Asic),
-            ),
-            None => (
-                profile.sb_run_energy(&cost_model, run.iterations, self.reads_per_step()),
-                profile.sb_run_time(&cost_model, run.iterations, self.reads_per_step()),
-            ),
-        }
-    }
-}
-
-impl crate::batch::BatchedSolve for SbAnnealer {
-    fn anneal_batched(
-        &self,
-        coupling: &CsrCoupling,
-        initial: SpinVector,
-        handle: BatchInstance,
-        seed: u64,
-    ) -> RunResult {
-        // The grid instance IS the MVM source: SB steps read the
-        // replica's block-diagonal slice of the shared grid, so batched
-        // SB trials are bit-identical to standalone device runs in Ideal
-        // fidelity (same per-column read, different placement).
-        let mut source = DeviceMvm::new(handle, self.in_bits);
-        self.engine().run(coupling, &mut source, &initial, seed)
+        // SB updates every spin per step; `flips` has no SB meaning and
+        // only feeds the annealer arms of the profile.
+        let (profile, cost_model) = paper_pricing(spins, 1);
+        (
+            profile.sb_run_energy(&cost_model, run.iterations, self.reads_per_step()),
+            profile.sb_run_time(&cost_model, run.iterations, self.reads_per_step()),
+        )
     }
 }
 

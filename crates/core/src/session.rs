@@ -42,11 +42,11 @@ use serde::{Deserialize, Serialize};
 use fecim_anneal::Ensemble;
 use fecim_crossbar::{BatchInstance, BatchedTiledCrossbar, CrossbarConfig, Fidelity};
 use fecim_device::VariationConfig;
-use fecim_hwcost::{energy_of, time_of, CostModel, ExpUnit};
 use fecim_ising::{CopProblem, CsrCoupling, IsingError, ObjectiveSense, SpinVector};
 
 use crate::annealer::SolveReport;
-use crate::batch::{BatchGridSummary, BatchedSolve};
+use crate::batch::BatchGridSummary;
+use crate::device_solver::{Arch, DeviceSolver};
 use crate::request::{BackendPlan, RunPlan, SolveRequest, SolverSpec};
 use crate::solver::{trial, Encoding, Solver};
 
@@ -237,10 +237,9 @@ impl Session {
     pub fn run(&self, request: &SolveRequest) -> Result<SolveResponse, SessionError> {
         let job = self.prepare(request)?;
         let PreparedRoute::Batched {
-            config,
+            solver,
             tile_rows,
             instances,
-            ..
         } = &job.route
         else {
             let reports = job
@@ -260,7 +259,7 @@ impl Session {
             let grid = BatchedTiledCrossbar::replicate(
                 job.encoding.coupling(),
                 width,
-                config.clone(),
+                solver.config().clone(),
                 *tile_rows,
             )
             .into_shared();
@@ -299,12 +298,16 @@ impl Session {
         if request.run.threads() == Some(0) {
             return Err(invalid("thread cap must be at least one worker"));
         }
-        if let SolverSpec::Sb(sb) = &request.solver {
-            // Builder panics never run for wire-deserialized payloads;
-            // reject unusable SB parameters (non-finite dt/schedule, …)
-            // here, on every route.
-            sb.validate().map_err(invalid)?;
+        // Builder panics never run for wire-deserialized payloads; reject
+        // unusable solver parameters (zero flips, non-finite dt, a factor
+        // with a pole, …) here, on every route.
+        match &request.solver {
+            SolverSpec::Cim(solver) => solver.validate(),
+            SolverSpec::Direct(solver) => solver.validate(),
+            SolverSpec::Mesa(solver) => solver.validate(),
+            SolverSpec::Sb(solver) => solver.validate(),
         }
+        .map_err(invalid)?;
         let problem = request.problem.build()?;
         let initial = match &request.initial_spins {
             None => None,
@@ -330,9 +333,8 @@ impl Session {
                 tile_rows,
                 instances,
             } => {
-                let solver: Box<dyn BatchedSolve> = match &request.solver {
-                    SolverSpec::Cim(solver) => Box::new(solver.clone().with_analytic_backend()),
-                    SolverSpec::Sb(solver) => Box::new(solver.clone().with_analytic_backend()),
+                let arch = match Arch::of(&request.solver) {
+                    Some(arch @ (Arch::Cim(_) | Arch::Sb(_))) => arch,
                     _ => {
                         return Err(invalid(
                             "the batched backend supports only the CiM in-situ and SB solvers",
@@ -355,24 +357,19 @@ impl Session {
                     .crossbar
                     .clone()
                     .unwrap_or_else(CrossbarConfig::paper_defaults);
-                let encoding = Encoding::of(problem.as_ref())?;
-                let cost_model = CostModel::paper_22nm_tiled(
-                    encoding.model.dimension(),
-                    config.quant_bits,
-                    tile_rows,
-                );
-                let route = PreparedRoute::Batched {
-                    solver,
-                    config,
-                    tile_rows,
-                    instances,
-                    cost_model,
-                };
-                (encoding, route)
+                let solver = DeviceSolver::new(arch, config, Some(tile_rows));
+                (
+                    Encoding::of(problem.as_ref())?,
+                    PreparedRoute::Batched {
+                        solver,
+                        tile_rows,
+                        instances,
+                    },
+                )
             }
-            _ => (
+            plan => (
                 Encoding::of(problem.as_ref())?,
-                PreparedRoute::Solver(self.build_solver(&request.solver, request.backend)?),
+                PreparedRoute::Solver(self.build_solver(&request.solver, plan)?),
             ),
         };
         Ok(PreparedJob {
@@ -386,50 +383,36 @@ impl Session {
         })
     }
 
-    /// Configure the spec's solver for the plan's backend. The plan is
-    /// the single authority: any device knobs already on the embedded
-    /// solver are cleared first.
+    /// Configure the spec's solver for an unbatched plan: the plain
+    /// solver for [`BackendPlan::Analytic`], its [`DeviceSolver`] for
+    /// [`BackendPlan::DeviceInLoop`].
     fn build_solver(
         &self,
         spec: &SolverSpec,
         plan: BackendPlan,
     ) -> Result<Box<dyn Solver>, SessionError> {
-        match spec {
-            SolverSpec::Cim(solver) => self.plan_device_solver(solver.clone(), plan),
-            SolverSpec::Direct(solver) => self.plan_device_solver(solver.clone(), plan),
-            SolverSpec::Sb(solver) => self.plan_device_solver(solver.clone(), plan),
-            SolverSpec::Mesa(solver) => match plan {
-                BackendPlan::Analytic => Ok(Box::new(*solver)),
-                _ => Err(invalid(
-                    "the MESA baseline runs only on the analytic backend",
-                )),
-            },
+        let BackendPlan::DeviceInLoop {
+            fidelity,
+            tile_rows,
+        } = plan
+        else {
+            return Ok(match spec {
+                SolverSpec::Cim(solver) => Box::new(solver.clone()),
+                SolverSpec::Direct(solver) => Box::new(solver.clone()),
+                SolverSpec::Mesa(solver) => Box::new(*solver),
+                SolverSpec::Sb(solver) => Box::new(solver.clone()),
+            });
+        };
+        let Some(arch) = Arch::of(spec) else {
+            return Err(invalid(
+                "the MESA baseline runs only on the analytic backend",
+            ));
+        };
+        if tile_rows == Some(0) {
+            return Err(invalid("device backend needs tile_rows > 0"));
         }
-    }
-
-    /// The shared Analytic/DeviceInLoop wiring for every device-capable
-    /// architecture.
-    fn plan_device_solver<S: DeviceBackendKnobs>(
-        &self,
-        solver: S,
-        plan: BackendPlan,
-    ) -> Result<Box<dyn Solver>, SessionError> {
-        let solver = solver.analytic();
-        match plan {
-            BackendPlan::Analytic => Ok(Box::new(solver)),
-            BackendPlan::DeviceInLoop {
-                fidelity,
-                tile_rows,
-            } => {
-                let config = self.crossbar_for(fidelity);
-                Ok(Box::new(
-                    solver.device_in_loop(config, checked_tile_rows(tile_rows)?),
-                ))
-            }
-            BackendPlan::Batched { .. } => Err(invalid(
-                "batched requests are executed by the shared-grid route, not a per-trial solver",
-            )),
-        }
+        let config = self.crossbar_for(fidelity);
+        Ok(Box::new(DeviceSolver::new(arch, config, tile_rows)))
     }
 
     /// The crossbar configuration for a device-in-the-loop plan: the
@@ -449,41 +432,6 @@ impl Session {
     }
 }
 
-/// The device-backend knobs shared by the device-capable solvers — lets
-/// [`Session`] wire every architecture through one code path.
-trait DeviceBackendKnobs: Solver + Sized + 'static {
-    /// Strip device knobs back to the software-exact defaults.
-    fn analytic(self) -> Self;
-    /// Route measurements through the simulated array: `tile_rows`-row
-    /// tiles, or one tile spanning the matrix when `None`.
-    fn device_in_loop(self, config: CrossbarConfig, tile_rows: Option<usize>) -> Self;
-}
-
-macro_rules! device_backend_knobs {
-    ($($solver:ty),*) => {$(
-        impl DeviceBackendKnobs for $solver {
-            fn analytic(self) -> Self {
-                self.with_analytic_backend()
-            }
-            fn device_in_loop(self, config: CrossbarConfig, tile_rows: Option<usize>) -> Self {
-                match tile_rows {
-                    None => self.with_device_in_loop(config),
-                    Some(rows) => self.with_tiled_device_in_loop(config, rows),
-                }
-            }
-        }
-    )*};
-}
-
-device_backend_knobs!(crate::CimAnnealer, crate::SbAnnealer, crate::DirectAnnealer);
-
-fn checked_tile_rows(tile_rows: Option<usize>) -> Result<Option<usize>, SessionError> {
-    match tile_rows {
-        Some(0) => Err(invalid("device backend needs tile_rows > 0")),
-        other => Ok(other),
-    }
-}
-
 /// How a [`PreparedJob`]'s trials execute.
 // One allocation per prepared job: the size skew between the two
 // variants is irrelevant, boxing would only add indirection.
@@ -491,16 +439,14 @@ fn checked_tile_rows(tile_rows: Option<usize>) -> Result<Option<usize>, SessionE
 enum PreparedRoute {
     /// Analytic / device-in-the-loop: one configured solver per trial.
     Solver(Box<dyn Solver>),
-    /// Shared-grid batching: trials run as replicas on a
-    /// [`BatchedTiledCrossbar`](fecim_crossbar::BatchedTiledCrossbar)
+    /// Shared-grid batching: trials run the device solver as replicas on
+    /// a [`BatchedTiledCrossbar`](fecim_crossbar::BatchedTiledCrossbar)
     /// (chunked grids under [`Session::run`]; live admission under the
     /// `fecim-serve` scheduler).
     Batched {
-        solver: Box<dyn BatchedSolve>,
-        config: CrossbarConfig,
+        solver: DeviceSolver,
         tile_rows: usize,
         instances: usize,
-        cost_model: CostModel,
     },
 }
 
@@ -592,7 +538,7 @@ impl PreparedJob {
     /// solver routes).
     pub fn crossbar_config(&self) -> Option<&CrossbarConfig> {
         match &self.route {
-            PreparedRoute::Batched { config, .. } => Some(config),
+            PreparedRoute::Batched { solver, .. } => Some(solver.config()),
             PreparedRoute::Solver(_) => None,
         }
     }
@@ -648,10 +594,7 @@ impl PreparedJob {
         mut handle: BatchInstance,
     ) -> Result<SolveReport, SessionError> {
         self.check_trial(trial)?;
-        let PreparedRoute::Batched {
-            solver, cost_model, ..
-        } = &self.route
-        else {
+        let PreparedRoute::Batched { solver, .. } = &self.route else {
             return Err(invalid(
                 "solver-route trials run without a grid; use run_trial",
             ));
@@ -667,18 +610,9 @@ impl PreparedJob {
                 // The write-verify pass a new tenant gets; a no-op with
                 // ideal variation.
                 handle.reseed_for_trial(seed);
-                solver.anneal_batched(coupling, initial, handle, seed)
+                solver.run_on(coupling, initial, handle, seed)
             },
-            |run| {
-                let stats = run
-                    .activity
-                    // audit:allow(panic-path): batched trials run only through batched crossbar backends, which always populate `activity`; a None is a backend bug that must abort, not report zero cost
-                    .expect("batched backends always record activity");
-                (
-                    energy_of(&stats, cost_model, ExpUnit::Asic),
-                    time_of(&stats, cost_model, ExpUnit::Asic),
-                )
-            },
+            |run| solver.hardware_report(run, self.encoding.model.dimension()),
         ))
     }
 
@@ -842,22 +776,6 @@ mod tests {
         }
         let pairs = response.normalized_pairs().unwrap();
         assert_eq!(pairs.len(), 4);
-    }
-
-    #[test]
-    fn backend_plan_overrides_solver_device_knobs() {
-        // A solver that *carries* device-in-loop settings, run under an
-        // Analytic plan: the plan wins, so results match the plain solver.
-        let configured = CimAnnealer::new(150)
-            .with_flips(1)
-            .with_tiled_device_in_loop(CrossbarConfig::paper_defaults(), 4);
-        let request = SolveRequest::new(ring_spec(10), SolverSpec::Cim(configured))
-            .with_run(RunPlan::Single { seed: 3 });
-        let response = Session::new().run(&request).unwrap();
-        assert!(
-            response.reports[0].run.activity.is_none(),
-            "analytic plan must strip the device backend"
-        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ use rand::SeedableRng;
 #[cfg(test)]
 use fecim_anneal::Ensemble;
 use fecim_anneal::RunResult;
-use fecim_hwcost::{AnnealerKind, EnergyReport, TimeReport};
+use fecim_hwcost::{AnnealerKind, CostModel, EnergyReport, IterationProfile, TimeReport};
 use fecim_ising::{CopProblem, Coupling, CsrCoupling, IsingError, IsingModel, SpinVector};
 
 use crate::annealer::SolveReport;
@@ -37,12 +37,18 @@ use crate::annealer::SolveReport;
 /// streams of the same user seed.
 const INIT_SEED_SALT: u64 = 0xA5A5_5A5A;
 
-/// The paper's default coupling quantization (Fig. 6d) — the value a
-/// solver prices when no device backend overrides it.
-pub(crate) const DEFAULT_QUANT_BITS: u8 = 4;
-
-/// The paper's default ADC column multiplexing ratio.
-pub(crate) const DEFAULT_MUX_RATIO: usize = 8;
+/// How every plain (software-exact) solver prices its run: the paper's
+/// default geometry — 4-bit weights (Fig. 6d), 8:1 ADC muxing, one array
+/// spanning the problem — at the solver's flip-set size `flips`. Device
+/// runs are priced from their measured activity instead
+/// ([`DeviceSolver`](crate::DeviceSolver)).
+pub(crate) fn paper_pricing(spins: usize, flips: usize) -> (IterationProfile, CostModel) {
+    let profile = IterationProfile {
+        flips,
+        ..IterationProfile::paper(spins)
+    };
+    (profile, CostModel::paper_22nm(spins, profile.quant_bits))
+}
 
 /// A combinatorial-optimization solver with hardware-cost accounting —
 /// the common face of the paper's three annealer architectures.

@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 use crate::dg_fefet::DgFefet;
 use crate::fefet::StoredBit;
 
-/// Error raised when a sampled calibration curve cannot define an
-/// annealing factor.
+/// Error raised when a sampled calibration curve or a fractional form
+/// cannot define an annealing factor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CurveError {
     /// Empty or single-point curve: interpolation needs at least two
@@ -31,8 +31,15 @@ pub enum CurveError {
     /// is not above its predecessor.
     NotIncreasing(usize),
     /// The factor replaces a positive Metropolis quantity; the entry at
-    /// this index is negative.
+    /// this index is negative (for a fractional form: the sample at
+    /// `T = t_max·index/100`).
     NegativeFactor(usize),
+    /// The temperature range `[0, t_max]` is empty: a fractional form's
+    /// `t_max`, or a curve's last temperature, is not positive.
+    EmptyRange,
+    /// A fractional form's denominator changes sign (or vanishes) over
+    /// `[0, t_max]`, so the factor would blow up mid-anneal.
+    DenominatorSignChange,
 }
 
 impl fmt::Display for CurveError {
@@ -50,6 +57,10 @@ impl fmt::Display for CurveError {
                 f,
                 "calibration curve factors must be non-negative (violated at index {i})"
             ),
+            CurveError::EmptyRange => write!(f, "temperature range t_max must be positive"),
+            CurveError::DenominatorSignChange => {
+                write!(f, "denominator must not change sign over [0, t_max]")
+            }
         }
     }
 }
@@ -77,30 +88,52 @@ pub struct FractionalFactor {
 }
 
 impl FractionalFactor {
-    /// Build a validated factor.
+    /// Build a validated factor, reporting *why* the constants are
+    /// unusable instead of crashing — the entry point for constants read
+    /// from requests or configs.
+    ///
+    /// # Errors
+    ///
+    /// [`CurveError::EmptyRange`] unless `t_max > 0`,
+    /// [`CurveError::DenominatorSignChange`] if the denominator changes
+    /// sign on `[0, t_max]`, and [`CurveError::NegativeFactor`] if `f`
+    /// goes negative beyond a small tolerance.
+    pub fn try_new(
+        a: f64,
+        b: f64,
+        c: f64,
+        d: f64,
+        t_max: f64,
+    ) -> Result<FractionalFactor, CurveError> {
+        if t_max.is_nan() || t_max <= 0.0 {
+            return Err(CurveError::EmptyRange);
+        }
+        let ends = c * (b * t_max + c);
+        if ends.is_nan() || ends <= 0.0 {
+            return Err(CurveError::DenominatorSignChange);
+        }
+        let f = FractionalFactor { a, b, c, d, t_max };
+        for k in 0..=100 {
+            if f.factor(t_max * k as f64 / 100.0) < -1e-9 {
+                return Err(CurveError::NegativeFactor(k));
+            }
+        }
+        Ok(f)
+    }
+
+    /// [`FractionalFactor::try_new`] for call sites with statically valid
+    /// constants.
     ///
     /// # Panics
     ///
-    /// Panics if the denominator changes sign on `[0, t_max]` (the factor
-    /// would blow up mid-anneal) or if `f` goes negative beyond a small
-    /// tolerance.
+    /// Panics with the [`CurveError`] description if the denominator
+    /// changes sign on `[0, t_max]` (the factor would blow up
+    /// mid-anneal), if `f` goes negative beyond a small tolerance, or if
+    /// `t_max` is not positive.
     pub fn new(a: f64, b: f64, c: f64, d: f64, t_max: f64) -> FractionalFactor {
-        assert!(t_max > 0.0, "t_max must be positive");
-        let d0 = c;
-        let d1 = b * t_max + c;
-        assert!(
-            d0 * d1 > 0.0,
-            "denominator must not change sign over [0, t_max]"
-        );
-        let f = FractionalFactor { a, b, c, d, t_max };
-        for k in 0..=100 {
-            let t = t_max * k as f64 / 100.0;
-            assert!(
-                f.factor(t) >= -1e-9,
-                "f(T) must be non-negative (violated at T={t})"
-            );
-        }
-        f
+        FractionalFactor::try_new(a, b, c, d, t_max)
+            // audit:allow(panic-path): documented `# Panics` contract — the infallible constructor for statically valid constants; try_new is the fallible path
+            .unwrap_or_else(|e| panic!("invalid fractional annealing factor: {e}"))
     }
 
     /// The constants the paper reads off the DG FeFET curve:
@@ -290,6 +323,26 @@ mod tests {
     fn pole_inside_range_is_rejected() {
         // Denominator 5 − 0.01·T crosses zero at T = 500 < 700.
         let _ = FractionalFactor::new(1.0, -0.01, 5.0, -0.2, 700.0);
+    }
+
+    #[test]
+    fn fractional_constants_are_descriptive_errors() {
+        assert_eq!(
+            FractionalFactor::try_new(1.0, -0.01, 5.0, -0.2, 700.0),
+            Err(CurveError::DenominatorSignChange)
+        );
+        assert_eq!(
+            FractionalFactor::try_new(1.0, -0.006, 5.0, -0.2, 0.0),
+            Err(CurveError::EmptyRange)
+        );
+        assert_eq!(
+            FractionalFactor::try_new(1.0, -0.006, 5.0, -0.2, f64::NAN),
+            Err(CurveError::EmptyRange)
+        );
+        assert_eq!(
+            FractionalFactor::try_new(1.0, -0.006, 5.0, -0.2, 700.0),
+            Ok(FractionalFactor::paper())
+        );
     }
 
     #[test]

@@ -186,31 +186,45 @@ impl Journal {
     }
 }
 
-/// Read every record of the journal at `path`.
+/// Read every record of the journal at `path`, one line at a time.
 ///
-/// A torn final line — the crash interrupting an append — is ignored;
-/// corruption anywhere else is an error.
+/// A torn final line — the crash interrupting an append, possibly in
+/// the middle of a multi-byte character — is ignored; a line that is
+/// not UTF-8 or does not parse anywhere else is corruption. Lines have
+/// no length cap: the server writes them itself.
 ///
 /// # Errors
 ///
 /// [`JournalError::Io`] when the file cannot be opened or read, and
-/// [`JournalError::Corrupt`] when a non-final line does not parse.
+/// [`JournalError::Corrupt`] when a non-final line is not a record.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<JournalRecord>, JournalError> {
-    let reader = BufReader::new(File::open(path.as_ref())?);
-    let lines: Vec<String> = reader.lines().collect::<Result<_, _>>()?;
+    let mut reader = BufReader::new(File::open(path.as_ref())?);
     let mut records = Vec::new();
-    for (line_no, line) in lines.iter().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+    let mut line = Vec::new();
+    // A bad line is an error only once another line follows it.
+    let mut bad_line: Option<JournalError> = None;
+    for line_no in 1.. {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
         }
-        match serde_json::from_str::<JournalRecord>(trimmed) {
-            Ok(record) => records.push(record),
-            Err(_) if line_no + 1 == lines.len() => break, // torn tail
-            Err(e) => {
-                return Err(JournalError::Corrupt {
-                    line: line_no + 1,
-                    message: e.to_string(),
+        if let Some(corrupt) = bad_line.take() {
+            return Err(corrupt);
+        }
+        let parsed = std::str::from_utf8(&line)
+            .map_err(|e| e.to_string())
+            .and_then(|text| match text.trim() {
+                "" => Ok(None),
+                record => serde_json::from_str(record)
+                    .map(Some)
+                    .map_err(|e| e.to_string()),
+            });
+        match parsed {
+            Ok(record) => records.extend(record),
+            Err(message) => {
+                bad_line = Some(JournalError::Corrupt {
+                    line: line_no,
+                    message,
                 })
             }
         }

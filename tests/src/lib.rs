@@ -1,10 +1,20 @@
 //! Integration tests live in the `tests/` directory of this package.
 //!
 //! This library holds what several of them share: [`IdealReference`], an
-//! independent oracle for the array reads.
+//! independent oracle for the array reads, and
+//! [`LEGACY_DEVICE_KNOB_REQUEST`], a request in the wire form that still
+//! carried device settings inside the solver config.
 
 use fecim_crossbar::{CrossbarConfig, QuantizedCoupling, SarAdc};
 use fecim_ising::Coupling;
+
+/// A request as the wire and the journal carried it while solver configs
+/// still held device settings: a 10-vertex ring, a 150-iteration one-flip
+/// `Cim` solver whose `device_in_loop` (the paper's crossbar), `tile_rows`
+/// (4), `quant_bits` and `mux_ratio` keys sit under `"backend":"Analytic"`,
+/// and one trial with seed 3. Today's solver configs no longer declare
+/// those keys, so this must parse as the plain solver's request.
+pub const LEGACY_DEVICE_KNOB_REQUEST: &str = r#"{"problem":{"MaxCut":{"vertices":10,"edges":[[0,1,1],[1,2,1],[2,3,1],[3,4,1],[4,5,1],[5,6,1],[6,7,1],[7,8,1],[8,9,1],[9,0,1]]}},"solver":{"Cim":{"iterations":150,"flips":1,"factor":"PaperFractional","einc_scale":null,"device_in_loop":{"quant_bits":4,"adc_bits":13,"mux_ratio":8,"interleaved_mux":true,"fidelity":"Ideal","variation":{"sigma_vth_d2d":0,"sigma_vth_c2c":0,"read_noise_rel":0},"wires":{"res_per_um":3.3,"cap_per_um":0.0000000000000002,"cell_pitch_um":0.15,"swing_v":1,"cell_on_res":50000},"device":{"front":{"vth_low":1.05,"vth_high":2.05,"ideality":1.5,"i_spec":0.00000105,"i_leak":0.0000000005},"bg_coupling":0.45,"v_read":1,"v_drain":1,"vbg_max":0.7,"vbg_step":0.01},"seed":62401},"tile_rows":4,"trace_every":null,"target_energy":null,"quant_bits":4,"mux_ratio":8}},"backend":"Analytic","run":{"Single":{"seed":3}},"reference":null,"initial_spins":null}"#;
 
 /// A sequential, Ideal-fidelity reference for the three array reads,
 /// built only from the public [`QuantizedCoupling`] and [`SarAdc`]: global

@@ -27,7 +27,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use proptest::prelude::*;
 
 use fecim::{
-    BackendPlan, CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, SolveResponse,
+    BackendPlan, CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, SolveResponse, Solver,
     SolverSpec,
 };
 use fecim_crossbar::{BatchedTiledCrossbar, CrossbarConfig, Fidelity, SensingMode, TiledCrossbar};

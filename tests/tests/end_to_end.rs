@@ -1,7 +1,7 @@
 //! End-to-end integration: COP → Ising → annealer → solution, across the
 //! public API of the whole workspace.
 
-use fecim::{CimAnnealer, DirectAnnealer, FactorChoice};
+use fecim::{CimAnnealer, DirectAnnealer, FactorChoice, Solver};
 use fecim_crossbar::CrossbarConfig;
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{Knapsack, MaxCut, NumberPartitioning};

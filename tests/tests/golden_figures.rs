@@ -26,7 +26,9 @@ use std::path::{Path, PathBuf};
 
 use fecim::experiment::{run_experiment, ExperimentConfig, Scale};
 use fecim::report::this_work_row;
-use fecim::{BackendPlan, CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, SolverSpec};
+use fecim::{
+    BackendPlan, CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, Solver, SolverSpec,
+};
 use fecim_crossbar::{CrossbarConfig, Fidelity};
 use fecim_device::VariationConfig;
 use fecim_gset::{GeneratorConfig, GsetFamily};

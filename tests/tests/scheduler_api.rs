@@ -720,3 +720,38 @@ fn raw_payload_requests_run_through_the_scheduler() {
     );
     scheduler.join();
 }
+
+#[test]
+fn recovering_a_journal_with_legacy_solver_device_keys_is_bit_identical() {
+    use fecim_serve::JournalRecord;
+    use fecim_tests::LEGACY_DEVICE_KNOB_REQUEST;
+    // A journal written while solver configs still carried device
+    // settings: one submission, crashed before it ran. Its replay must
+    // answer exactly as the same journal re-serialized without them.
+    let legacy = format!(
+        r#"{{"Submitted":{{"job":1,"name":"legacy","request":{LEGACY_DEVICE_KNOB_REQUEST},"options":{{"priority":0,"deadline_ms":null,"tags":[]}}}}}}"#
+    );
+    let record: JournalRecord = serde_json::from_str(&legacy).expect("legacy record parses");
+    let current = serde_json::to_string(&record).expect("record serializes");
+    assert!(legacy.contains("device_in_loop") && !current.contains("device_in_loop"));
+    let replay = |tag: &str, journal: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "fecim-scheduler-api-{}-{tag}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, format!("{journal}\n")).expect("journal writes");
+        let scheduler = Scheduler::with_config(SchedulerConfig::workers(1).start_paused());
+        let recovered = scheduler.recover(&path).expect("journal replays");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(recovered.len(), 1, "{tag}");
+        scheduler.resume();
+        let response = recovered[0].handle.wait().expect("job completes");
+        scheduler.join();
+        assert!(
+            response.reports[0].run.activity.is_none(),
+            "{tag} ran analytic"
+        );
+        serde_json::to_string(&response).expect("response serializes")
+    };
+    assert_eq!(replay("legacy", &legacy), replay("current", &current));
+}

@@ -304,6 +304,139 @@ fn wire_deserialized_sb_misconfigurations_are_rejected_as_invalid_requests() {
 }
 
 #[test]
+fn wire_deserialized_solver_misconfigurations_are_rejected_at_prepare() {
+    use fecim::{
+        CimAnnealer, DirectAnnealer, MesaAnnealer, ProblemSpec, Session, SessionError,
+        SolveRequest, SolverSpec,
+    };
+    let ring = ProblemSpec::MaxCut {
+        vertices: 6,
+        edges: (0..6).map(|i| (i, (i + 1) % 6, 1.0)).collect(),
+    };
+    // Each builder panics on its value, but wire payloads never run the
+    // builders: left unchecked, every one of these panicked a scheduler
+    // worker mid-run and the job never settled.
+    let cases = [
+        (
+            SolverSpec::Cim(CimAnnealer::new(50)),
+            "\"flips\":2",
+            "\"flips\":0",
+            "flip",
+        ),
+        (
+            SolverSpec::Cim(CimAnnealer::new(50)),
+            "\"einc_scale\":null",
+            "\"einc_scale\":-2",
+            "E_inc",
+        ),
+        (
+            SolverSpec::Cim(CimAnnealer::new(50)),
+            "\"factor\":\"PaperFractional\"",
+            // The denominator 5 - 0.01 T crosses zero at T = 500 < 700.
+            "\"factor\":{\"Fractional\":{\"a\":1,\"b\":-0.01,\"c\":5,\"d\":-0.2,\"t_max\":700}}",
+            "denominator",
+        ),
+        (
+            SolverSpec::Cim(CimAnnealer::new(50)),
+            "\"factor\":\"PaperFractional\"",
+            // A valid table whose temperatures never reach above zero.
+            "\"factor\":{\"Table\":[[-10,0.1],[-5,0.2]]}",
+            "t_max",
+        ),
+        (
+            SolverSpec::Direct(DirectAnnealer::cim_asic(50)),
+            "\"flips\":2",
+            "\"flips\":0",
+            "flip",
+        ),
+        (
+            SolverSpec::Direct(DirectAnnealer::cim_asic(50)),
+            "\"t0\":null",
+            "\"t0\":-1",
+            "initial temperature",
+        ),
+        (
+            SolverSpec::Direct(DirectAnnealer::cim_asic(50)),
+            "\"t_end_fraction\":0.01",
+            "\"t_end_fraction\":1.5",
+            "fraction",
+        ),
+        (
+            SolverSpec::Direct(DirectAnnealer::cim_asic(50)),
+            "\"t_end_fraction\":0.01",
+            "\"t_end_fraction\":0",
+            "fraction",
+        ),
+        (
+            SolverSpec::Mesa(MesaAnnealer::new(50)),
+            "\"epochs\":4",
+            "\"epochs\":0",
+            "epoch",
+        ),
+    ];
+    let session = Session::new();
+    for (solver, from, to, expected) in cases {
+        let wire = SolveRequest::new(ring.clone(), solver)
+            .to_json()
+            .expect("serializes");
+        assert!(wire.contains(from), "`{from}` not in {wire}");
+        let request =
+            SolveRequest::from_json(&wire.replacen(from, to, 1)).expect("mutation still parses");
+        match session.prepare(&request) {
+            Err(SessionError::InvalidRequest(msg)) => {
+                assert!(msg.contains(expected), "{to}: message `{msg}`")
+            }
+            other => panic!("{to}: expected InvalidRequest, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn legacy_lines_with_solver_device_knobs_parse_and_run_analytic() {
+    use fecim::{CimAnnealer, ProblemSpec, RunPlan, Session, SolveRequest, Solver, SolverSpec};
+    use fecim_serve::{RequestLine, SubmitOptions};
+    use fecim_tests::LEGACY_DEVICE_KNOB_REQUEST;
+    // A serve-fixture line as written while solver configs carried
+    // device settings. The derive reads declared fields only and ignores
+    // the rest, as upstream serde does; the backend plan overrode those
+    // keys all along, so the result is the plain solver's.
+    let line = format!(
+        r#"{{"Submit":{{"id":"legacy","request":{LEGACY_DEVICE_KNOB_REQUEST},"options":{{"priority":0,"deadline_ms":null,"tags":[]}}}}}}"#
+    );
+    let solver = CimAnnealer::new(150).with_flips(1);
+    let ring = ProblemSpec::MaxCut {
+        vertices: 10,
+        edges: (0..10).map(|i| (i, (i + 1) % 10, 1.0)).collect(),
+    };
+    let plain = SolveRequest::new(ring.clone(), SolverSpec::Cim(solver.clone()))
+        .with_run(RunPlan::Single { seed: 3 });
+    let parsed: RequestLine = serde_json::from_str(&line).expect("legacy line parses");
+    assert_eq!(
+        parsed,
+        RequestLine::Submit {
+            id: "legacy".into(),
+            request: plain.clone(),
+            options: SubmitOptions::default(),
+        }
+    );
+    let reserialized = serde_json::to_string(&parsed).expect("serializes");
+    for key in ["device_in_loop", "tile_rows", "quant_bits", "mux_ratio"] {
+        assert!(line.contains(key) && !reserialized.contains(key), "{key}");
+    }
+    let RequestLine::Submit { request, .. } = parsed else {
+        unreachable!("asserted equal to a Submit above")
+    };
+    let response = Session::new().run(&request).expect("ring encodes");
+    assert!(response.reports[0].run.activity.is_none(), "ran analytic");
+    let problem = ring.build().expect("ring encodes");
+    let direct = Solver::solve(&solver, problem.as_ref(), 3).expect("ring encodes");
+    assert_eq!(
+        serde_json::to_string(&response.reports[0]).expect("serializes"),
+        serde_json::to_string(&direct).expect("serializes")
+    );
+}
+
+#[test]
 fn requests_predating_the_sb_family_parse_unchanged() {
     use fecim::{CimAnnealer, ProblemSpec, RunPlan, SolveRequest, SolverSpec};
     let request = SolveRequest::new(

@@ -391,6 +391,43 @@ fn invalid_requests_inside_valid_lines_fail_their_own_job() {
 }
 
 #[test]
+fn a_zero_flip_solver_fails_its_own_job_and_the_next_job_completes() {
+    // The builder rejects zero flips, but a wire payload never runs the
+    // builder: unvalidated, the line panicked the only worker, its job
+    // never settled and the stream never ended.
+    let ok_line = |id: &str| {
+        serde_json::to_string(&RequestLine::Submit {
+            id: id.into(),
+            request: ring_request(8, 200),
+            options: SubmitOptions::default(),
+        })
+        .unwrap()
+    };
+    let bad = ok_line("zero-flips").replacen("\"flips\":1", "\"flips\":0", 1);
+    assert!(bad.contains("\"flips\":0"));
+    let ok = ok_line("ok");
+    let mut output = Vec::new();
+    let summary = run_jsonl(
+        BufReader::new(format!("{bad}\n{ok}\n").as_bytes()),
+        &mut output,
+        SchedulerConfig::workers(1),
+    )
+    .expect("stream serves");
+    assert_eq!((summary.completed, summary.failed), (1, 1));
+    let responses = check_responses(BufReader::new(output.as_slice())).expect("responses parse");
+    assert!(
+        matches!(&responses[0], ResponseLine::Failed { id, error } if id == "zero-flips" && error.contains("flip")),
+        "got {:?}",
+        responses[0]
+    );
+    assert!(
+        matches!(&responses[1], ResponseLine::Completed { id, .. } if id == "ok"),
+        "got {:?}",
+        responses[1]
+    );
+}
+
+#[test]
 fn status_and_progress_are_answered_at_stage_time() {
     // The batch transport stages before executing, so point-in-time
     // queries deterministically observe `Queued` for earlier-submitted

@@ -917,6 +917,44 @@ fn journaled_cancel_replays_as_cancellation() {
 }
 
 #[test]
+fn a_final_line_torn_inside_a_multibyte_character_is_a_torn_tail() {
+    // A crash cuts the append of a submission named `job-é` between the
+    // two bytes of `é`: the tail is not UTF-8, but it is still only the
+    // interrupted last write, so the record before it survives.
+    let journal = TempPath::new("torn-utf8");
+    let intact = JournalRecord::Started { job: 1 };
+    let torn = JournalRecord::Submitted {
+        job: 2,
+        name: Some("job-é".into()),
+        request: ensemble(4, 10, 1, 0),
+        options: SubmitOptions::default(),
+    };
+    let mut bytes = serde_json::to_string(&intact).expect("records serialize");
+    bytes.push('\n');
+    let mut bytes = bytes.into_bytes();
+    let torn = serde_json::to_string(&torn).expect("records serialize");
+    let cut = torn.find('é').expect("the name is serialized verbatim") + 1;
+    bytes.extend_from_slice(&torn.as_bytes()[..cut]);
+    assert!(
+        std::str::from_utf8(&bytes).is_err(),
+        "the tail ends mid-character"
+    );
+    std::fs::write(&journal.0, &bytes).expect("write");
+    assert_eq!(
+        read_journal(&journal.0).expect("tolerates a torn multi-byte tail"),
+        vec![intact.clone()]
+    );
+    // The same bytes before another line are corruption, with its position.
+    bytes.push(b'\n');
+    bytes.extend_from_slice(b"{\"Started\":{\"job\":3}}\n");
+    std::fs::write(&journal.0, &bytes).expect("rewrite");
+    assert!(matches!(
+        read_journal(&journal.0),
+        Err(fecim_serve::JournalError::Corrupt { line: 2, .. })
+    ));
+}
+
+#[test]
 fn torn_final_journal_line_is_tolerated_and_earlier_corruption_is_not() {
     let journal = TempPath::new("torn");
     {

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use fecim::CimAnnealer;
+use fecim::{CimAnnealer, Solver};
 use fecim_crossbar::{CrossbarConfig, TiledCrossbar};
 use fecim_gset::{GeneratorConfig, GsetFamily};
 use fecim_ising::{CsrCoupling, FlipMask, SpinVector};
